@@ -34,7 +34,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "durability/checkpointer.h"
-#include "durability/event_log.h"
+#include "durability/log_segments.h"
 #include "query/predicate.h"
 #include "query/scan.h"
 #include "storage/checkpoint.h"
@@ -104,7 +104,8 @@ RunResult RunLoop(uint32_t shards, Mode mode,
   std::filesystem::create_directories(result.dir);
   bench::MetricsDelta delta(/*reset_high_waters=*/true);
 
-  EventLog log = EventLog::Open(result.dir + "/events.log").value();
+  SegmentedEventLog log =
+      SegmentedEventLog::Open(EventLogPathFor(result.dir)).value();
 
   PolicyOptions popts;
   popts.kind = PolicyKind::kFifo;
@@ -216,7 +217,7 @@ int main(int argc, char** argv) {
     // Recover the async run's directory and cross-check bit-identity.
     const auto recover_start = std::chrono::steady_clock::now();
     RecoveredState state =
-        Recover(async_run.dir, async_run.dir + "/events.log").value();
+        Recover(async_run.dir, EventLogPathFor(async_run.dir)).value();
     const double recover_ms = MillisSince(recover_start);
     const uint64_t replayed = state.events_replayed;
     const ShardedTable recovered =

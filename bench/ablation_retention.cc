@@ -1,7 +1,7 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Ablation R — checkpoint retention GC. Runs the same ingest/forget loop
-// (cold-tier backend, every mutation journaled, a manifest-v2 checkpoint
+// (cold-tier backend, every mutation journaled, a tiered checkpoint
 // per round) once per retention count and measures what the directory
 // costs on disk when the run ends:
 //   retain 0   keep every checkpoint (the pre-retention behavior): the
@@ -14,15 +14,13 @@
 // number of checkpoints once retention bounds the directory — that is
 // what makes long simulations disk-bounded. Every run's directory is
 // recovered and cross-checked bit-identical (table + cold tier) against
-// the live state before it is scored. The retention loop runs under both
-// log formats (rewrite-compacted single file vs segmented).
+// the live state before it is scored.
 //
 // A second section isolates log compaction itself: at several retained-
 // event volumes it measures the appender throughput and the time one
-// TruncateBefore stalls the log. The rewrite format pays O(retained
-// events) per truncation (it rewrites the whole retained suffix under
-// the append mutex); the segmented format unlinks whole segment files —
-// its cost tracks the events *dropped*, never the events *retained*.
+// TruncateBefore stalls the log. The segmented log unlinks whole segment
+// files, so its cost tracks the events *dropped*, never the events
+// *retained*.
 //
 // Usage: ablation_retention [rows] [checkpoints]
 //
@@ -42,7 +40,6 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "durability/checkpointer.h"
-#include "durability/event_log.h"
 #include "durability/log_segments.h"
 #include "storage/checkpoint.h"
 #include "storage/cold_store.h"
@@ -96,45 +93,34 @@ struct RunResult {
   uint64_t log_truncations = 0;
 };
 
-/// Opens a fresh log of either format behind the shared interface (the
-/// same construction Simulator::Wire does).
-std::unique_ptr<EventLogBase> MakeLog(LogFormat format,
-                                      const std::string& path,
-                                      uint64_t segment_bytes,
-                                      const SyncPolicy& sync) {
-  if (format == LogFormat::kSegmented) {
-    SegmentedLogOptions options;
-    options.max_segment_bytes = segment_bytes;
-    options.sync = sync;
-    return std::make_unique<SegmentedEventLog>(
-        SegmentedEventLog::Open(path, options).value());
-  }
-  EventLog log = EventLog::Open(path).value();
-  log.set_sync_policy(sync);
-  return std::make_unique<EventLog>(std::move(log));
+/// Opens a fresh segmented log (the same construction Simulator::Make
+/// does).
+SegmentedEventLog MakeLog(const std::string& path, uint64_t segment_bytes,
+                          const SyncPolicy& sync) {
+  SegmentedLogOptions options;
+  options.max_segment_bytes = segment_bytes;
+  options.sync = sync;
+  return SegmentedEventLog::Open(path, options).value();
 }
 
-RunResult RunLoop(uint64_t rows, int checkpoints, uint32_t retain,
-                  LogFormat format) {
+RunResult RunLoop(uint64_t rows, int checkpoints, uint32_t retain) {
   RunResult result;
   const std::string dir =
       (std::filesystem::temp_directory_path() /
-       ("amnesia_ablation_retention_" + std::to_string(retain) + "_" +
-        (format == LogFormat::kSegmented ? "seg" : "rw")))
+       ("amnesia_ablation_retention_" + std::to_string(retain) + "_seg"))
           .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  // reset_high_waters: each retain/format configuration shares the
+  // reset_high_waters: each retain configuration shares the
   // process, so gauge peaks are rebased at this run's opening edge and
   // any high-water this window reports belongs to this window alone.
   bench::MetricsDelta delta(/*reset_high_waters=*/true);
 
   // Group commit with a flush before each checkpoint, like the simulator.
-  const std::string log_path = EventLogPathFor(dir, format);
-  const std::unique_ptr<EventLogBase> log_owner = MakeLog(
-      format, log_path, /*segment_bytes=*/256u << 10,  // several per run
-      SyncPolicy::GroupCommit(64, 5.0));
-  EventLogBase& log = *log_owner;
+  const std::string log_path = EventLogPathFor(dir);
+  SegmentedEventLog log =
+      MakeLog(log_path, /*segment_bytes=*/256u << 10,  // several per run
+              SyncPolicy::GroupCommit(64, 5.0));
 
   Table table = Table::Make(Schema::SingleColumn("v", 0, 1'000'000)).value();
   ColdStore cold;
@@ -154,7 +140,6 @@ RunResult RunLoop(uint64_t rows, int checkpoints, uint32_t retain,
   opts.dir = dir;
   opts.async = false;  // measure the full write+GC cost per checkpoint
   opts.retain = retain;
-  opts.log_format = format;
   opts.log = &log;
   BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
 
@@ -211,7 +196,7 @@ RunResult RunLoop(uint64_t rows, int checkpoints, uint32_t retain,
   return result;
 }
 
-// --------------------------------------- compaction: rewrite vs segmented
+// ---------------------------------------------------- log compaction cost
 
 /// What one compaction run measures.
 struct CompactionResult {
@@ -225,22 +210,19 @@ struct CompactionResult {
 /// "append `dropped` more, truncate the oldest `dropped`" — the steady
 /// state of a checkpointed run, with the retained volume held constant so
 /// the truncation cost can be attributed to it.
-CompactionResult RunCompaction(LogFormat format, uint64_t retained,
-                               uint64_t dropped, int rounds) {
+CompactionResult RunCompaction(uint64_t retained, uint64_t dropped,
+                               int rounds) {
   const std::string dir =
       (std::filesystem::temp_directory_path() /
-       ("amnesia_ablation_compaction_" +
-        std::to_string(retained) + "_" +
-        (format == LogFormat::kSegmented ? "seg" : "rw")))
+       ("amnesia_ablation_compaction_" + std::to_string(retained) + "_seg"))
           .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string log_path = EventLogPathFor(dir, format);
+  const std::string log_path = EventLogPathFor(dir);
   // ~2.3k forget events per 64 KiB segment: `dropped` spans a handful of
   // segments whatever the retained volume is.
-  const std::unique_ptr<EventLogBase> log =
-      MakeLog(format, log_path, /*segment_bytes=*/64u << 10,
-              SyncPolicy::GroupCommit(256, 0.0));
+  SegmentedEventLog log = MakeLog(log_path, /*segment_bytes=*/64u << 10,
+                                  SyncPolicy::GroupCommit(256, 0.0));
 
   CompactionResult result;
   auto append_n = [&](uint64_t n) {
@@ -250,9 +232,9 @@ CompactionResult RunCompaction(LogFormat format, uint64_t retained,
     forget.backend = static_cast<uint8_t>(BackendKind::kDelete);
     for (uint64_t i = 0; i < n; ++i) {
       forget.row = result.appended + i;
-      if (!log->Append(forget).ok()) Die("compaction append");
+      if (!log.Append(forget).ok()) Die("compaction append");
     }
-    if (!log->Flush().ok()) Die("compaction flush");
+    if (!log.Flush().ok()) Die("compaction flush");
     result.appended += n;
     result.append_ms += MillisSince(start);
   };
@@ -264,20 +246,18 @@ CompactionResult RunCompaction(LogFormat format, uint64_t retained,
     // segmented base_lsn() lags it by design (whole segments only).
     const uint64_t cut = static_cast<uint64_t>(round + 1) * dropped;
     const auto start = std::chrono::steady_clock::now();
-    if (!log->TruncateBefore(cut).ok()) Die("truncate");
+    if (!log.TruncateBefore(cut).ok()) Die("truncate");
     truncate_total_ms += MillisSince(start);
     append_n(dropped);  // restore the retained volume for the next round
   }
   result.truncate_ms = truncate_total_ms / rounds;
-  if (const auto* seg = dynamic_cast<const SegmentedEventLog*>(log.get())) {
-    result.segments_unlinked = seg->segments_unlinked();
-  }
+  result.segments_unlinked = log.segments_unlinked();
 
-  // Cross-check: both formats must still read back as a valid log whose
-  // span matches the in-memory accounting.
+  // Cross-check: the log must still read back as a valid log whose span
+  // matches the in-memory accounting.
   const EventLogContents contents =
-      ReadAnyEventLogContents(log_path).value();
-  if (contents.next_lsn() != log->next_lsn()) Die("compaction readback");
+      ReadSegmentedLogContents(log_path).value();
+  if (contents.next_lsn() != log.next_lsn()) Die("compaction readback");
 
   std::filesystem::remove_all(dir);
   return result;
@@ -296,44 +276,38 @@ int main(int argc, char** argv) {
                 " checkpoints, cold-tier backend, retain 0/2/4/8)");
 
   CsvWriter csv(&std::cout);
-  csv.Header({"log_format", "retain", "dir_mb", "dir_files", "manifests",
-              "log_events", "ckpt_ms", "recover_ms"});
+  csv.Header({"retain", "dir_mb", "dir_files", "manifests", "log_events",
+              "ckpt_ms", "recover_ms"});
 
   std::vector<double> footprints_mb;
-  for (const LogFormat format :
-       {LogFormat::kSingleFile, LogFormat::kSegmented}) {
-    const char* format_name =
-        format == LogFormat::kSegmented ? "segmented" : "rewrite";
-    for (uint32_t retain : {0u, 2u, 4u, 8u}) {
-      const RunResult r = RunLoop(rows, checkpoints, retain, format);
-      const double mb =
-          static_cast<double>(r.footprint.bytes) / (1024.0 * 1024.0);
-      if (format == LogFormat::kSingleFile) footprints_mb.push_back(mb);
-      csv.Row({format_name, CsvWriter::Num(int64_t{retain}),
-               CsvWriter::Num(mb, 2),
-               CsvWriter::Num(static_cast<int64_t>(r.footprint.files)),
-               CsvWriter::Num(static_cast<int64_t>(r.footprint.manifests)),
-               CsvWriter::Num(static_cast<int64_t>(r.log_events)),
-               CsvWriter::Num(r.checkpoint_ms, 2),
-               CsvWriter::Num(r.recover_ms, 2)});
-      bench::EmitBenchJson(
-          "RETENTION",
-          {{"segmented", format == LogFormat::kSegmented ? 1.0 : 0.0},
-           {"retain", static_cast<double>(retain)},
-           {"rows", static_cast<double>(rows)},
-           {"checkpoints", static_cast<double>(checkpoints)},
-           {"dir_bytes", static_cast<double>(r.footprint.bytes)},
-           {"dir_files", static_cast<double>(r.footprint.files)},
-           {"manifests", static_cast<double>(r.footprint.manifests)},
-           {"log_events", static_cast<double>(r.log_events)},
-           {"checkpoint_ms", r.checkpoint_ms},
-           {"recover_ms", r.recover_ms},
-           // Registry deltas from one snapshot pair (0 under
-           // AMNESIA_NO_METRICS).
-           {"ckpt_commits", static_cast<double>(r.ckpt_commits)},
-           {"ckpt_bytes_written", static_cast<double>(r.ckpt_bytes)},
-           {"log_truncations", static_cast<double>(r.log_truncations)}});
-    }
+  for (uint32_t retain : {0u, 2u, 4u, 8u}) {
+    const RunResult r = RunLoop(rows, checkpoints, retain);
+    const double mb =
+        static_cast<double>(r.footprint.bytes) / (1024.0 * 1024.0);
+    footprints_mb.push_back(mb);
+    csv.Row({CsvWriter::Num(int64_t{retain}), CsvWriter::Num(mb, 2),
+             CsvWriter::Num(static_cast<int64_t>(r.footprint.files)),
+             CsvWriter::Num(static_cast<int64_t>(r.footprint.manifests)),
+             CsvWriter::Num(static_cast<int64_t>(r.log_events)),
+             CsvWriter::Num(r.checkpoint_ms, 2),
+             CsvWriter::Num(r.recover_ms, 2)});
+    bench::EmitBenchJson(
+        "RETENTION",
+        {{"segmented", 1.0},
+         {"retain", static_cast<double>(retain)},
+         {"rows", static_cast<double>(rows)},
+         {"checkpoints", static_cast<double>(checkpoints)},
+         {"dir_bytes", static_cast<double>(r.footprint.bytes)},
+         {"dir_files", static_cast<double>(r.footprint.files)},
+         {"manifests", static_cast<double>(r.footprint.manifests)},
+         {"log_events", static_cast<double>(r.log_events)},
+         {"checkpoint_ms", r.checkpoint_ms},
+         {"recover_ms", r.recover_ms},
+         // Registry deltas from one snapshot pair (0 under
+         // AMNESIA_NO_METRICS).
+         {"ckpt_commits", static_cast<double>(r.ckpt_commits)},
+         {"ckpt_bytes_written", static_cast<double>(r.ckpt_bytes)},
+         {"log_truncations", static_cast<double>(r.log_truncations)}});
   }
 
   std::printf("\n");
@@ -343,48 +317,39 @@ int main(int argc, char** argv) {
   chart.AddSeries("dir_mb", footprints_mb);
   std::printf("%s\n", chart.Render().c_str());
 
-  // ---- compaction cost: the O(retained) rewrite vs O(1) segment unlinks.
+  // ---- compaction cost: O(1) segment unlinks whatever the log retains.
   bench::Banner(
-      "Log compaction: rewrite vs segmented (stall per TruncateBefore, "
-      "appender throughput)");
+      "Log compaction: stall per TruncateBefore, appender throughput");
   CsvWriter csv2(&std::cout);
-  csv2.Header({"log_format", "retained_events", "dropped_per_truncate",
-               "truncate_ms", "append_kevents_per_s", "segments_unlinked"});
+  csv2.Header({"retained_events", "dropped_per_truncate", "truncate_ms",
+               "append_kevents_per_s", "segments_unlinked"});
   const uint64_t dropped = 2048;
   const int rounds = 4;
-  std::vector<double> rewrite_ms, segmented_ms;
+  std::vector<double> segmented_ms;
   for (const uint64_t retained : {10'000ull, 40'000ull, 160'000ull}) {
-    for (const LogFormat format :
-         {LogFormat::kSingleFile, LogFormat::kSegmented}) {
-      const CompactionResult r =
-          RunCompaction(format, retained, dropped, rounds);
-      const double kevents_per_s =
-          static_cast<double>(r.appended) / r.append_ms;  // k-events/s
-      (format == LogFormat::kSegmented ? segmented_ms : rewrite_ms)
-          .push_back(r.truncate_ms);
-      csv2.Row({format == LogFormat::kSegmented ? "segmented" : "rewrite",
-                CsvWriter::Num(static_cast<int64_t>(retained)),
-                CsvWriter::Num(static_cast<int64_t>(dropped)),
-                CsvWriter::Num(r.truncate_ms, 3),
-                CsvWriter::Num(kevents_per_s, 1),
-                CsvWriter::Num(static_cast<int64_t>(r.segments_unlinked))});
-      bench::EmitBenchJson(
-          "LOG_COMPACTION",
-          {{"segmented", format == LogFormat::kSegmented ? 1.0 : 0.0},
-           {"retained_events", static_cast<double>(retained)},
-           {"dropped_per_truncate", static_cast<double>(dropped)},
-           {"truncate_ms", r.truncate_ms},
-           {"append_kevents_per_s", kevents_per_s},
-           {"segments_unlinked",
-            static_cast<double>(r.segments_unlinked)}});
-    }
+    const CompactionResult r = RunCompaction(retained, dropped, rounds);
+    const double kevents_per_s =
+        static_cast<double>(r.appended) / r.append_ms;  // k-events/s
+    segmented_ms.push_back(r.truncate_ms);
+    csv2.Row({CsvWriter::Num(static_cast<int64_t>(retained)),
+              CsvWriter::Num(static_cast<int64_t>(dropped)),
+              CsvWriter::Num(r.truncate_ms, 3),
+              CsvWriter::Num(kevents_per_s, 1),
+              CsvWriter::Num(static_cast<int64_t>(r.segments_unlinked))});
+    bench::EmitBenchJson(
+        "LOG_COMPACTION",
+        {{"segmented", 1.0},
+         {"retained_events", static_cast<double>(retained)},
+         {"dropped_per_truncate", static_cast<double>(dropped)},
+         {"truncate_ms", r.truncate_ms},
+         {"append_kevents_per_s", kevents_per_s},
+         {"segments_unlinked", static_cast<double>(r.segments_unlinked)}});
   }
 
   std::printf("\n");
   LineChart chart2;
   chart2.SetTitle("TruncateBefore stall (ms, y) vs retained volume step (x)");
   chart2.SetXLabel("step i = 10k/40k/160k retained events");
-  chart2.AddSeries("rewrite", rewrite_ms);
   chart2.AddSeries("segmented", segmented_ms);
   std::printf("%s\n", chart2.Render().c_str());
 
@@ -394,11 +359,9 @@ int main(int argc, char** argv) {
       "grows with the number of checkpoints taken. Any bounded retention\n"
       "collapses that to ~R live checkpoints plus the log suffix above the\n"
       "oldest retained manifest's covered LSN. Every directory is recovered\n"
-      "and cross-checked bit-identical (table + cold tier) under both log\n"
-      "formats. In the compaction section the rewrite truncation cost\n"
-      "climbs with the retained volume (it rewrites every retained event\n"
-      "while appenders wait) while the segmented cost stays flat — it only\n"
-      "unlinks the few sealed segments below the cut, however much the log\n"
+      "and cross-checked bit-identical (table + cold tier). In the\n"
+      "compaction section the truncation cost stays flat — it only unlinks\n"
+      "the few sealed segments below the cut, however much the log\n"
       "retains.\n");
   return 0;
 }

@@ -4,7 +4,6 @@
 //
 //   crash_recovery_demo run <dir> [--batches N] [--kill-at-batch K]
 //                             [--backend delete|cold|summary] [--retain R]
-//                             [--log-format rewrite|segmented]
 //                             [--storage vector|mapped]
 //                             [--partition-rows N]
 //                             [--dbsize D] [--parallelism P]
@@ -15,10 +14,9 @@
 //       right after batch K — no destructors, no writer join: whatever
 //       reached the filesystem is all recovery gets. --backend routes
 //       forgotten tuples into the cold or summary tier (checkpointed in
-//       the same manifest v2 commit as the table); --retain R keeps only
-//       the newest R checkpoints and truncates the event log below them;
-//       --log-format segmented journals into segment files (compaction =
-//       whole-segment unlinks) instead of the rewrite-compacted file.
+//       the same manifest commit as the table); --retain R keeps only
+//       the newest R checkpoints and unlinks the journal segments below
+//       them.
 //       Observability knobs (the CI metrics smoke): --dbsize D sizes the
 //       table (> 65536 rows spans several morsels, so --parallelism P > 1
 //       actually engages the thread pool), --metrics-every N logs a delta
@@ -29,7 +27,7 @@
 //       smoke curls /metrics, /healthz and /tracez against a real run.
 //       --storage mapped stores the table's sealed columns as mmap'd
 //       partition files under <dir>/storage (--partition-rows sizes
-//       them); recovery then re-maps those files from the manifest v3
+//       them); recovery then re-maps those files from the manifest
 //       entry instead of deserializing column payloads from the blob.
 //
 //       --vacuum-age N additionally runs mandatory vacuuming every batch
@@ -38,7 +36,7 @@
 //       hash-chained audit ledger under <dir>/audit.segs.
 //
 //   crash_recovery_demo verify <dir> [--backend ...] [--retain R]
-//                              [--log-format ...] [--storage ...]
+//                              [--storage ...]
 //                              [--partition-rows N] [--audit 1]
 //                              [--vacuum-age N]
 //       Recovers from <dir> (newest valid manifest + event-log tail
@@ -74,7 +72,6 @@
 
 #include "amnesia/audit_ledger.h"
 #include "durability/checkpointer.h"
-#include "durability/event_log.h"
 #include "durability/log_segments.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
@@ -96,7 +93,6 @@ struct DemoFlags {
   std::string dump_metrics;
   int serve = -1;
   BackendKind backend = BackendKind::kDelete;
-  LogFormat log_format = LogFormat::kSingleFile;
   StorageBackend storage = StorageBackend::kVector;
   // Small partitions so this short run actually seals several files.
   uint64_t partition_rows = 1024;
@@ -123,7 +119,6 @@ SimulationConfig DemoConfig(const std::string& dir, const DemoFlags& flags) {
   config.checkpoint_dir = dir;
   config.checkpoint_async = true;
   config.checkpoint_retention = flags.retain;
-  config.log_format = flags.log_format;
   // Small segments so even this short run rolls several times and the
   // retention GC actually unlinks — the recovery path the demo is for.
   config.log_segment_bytes = 16u << 10;
@@ -202,8 +197,7 @@ int Run(const std::string& dir, const DemoFlags& flags) {
 
 /// Checks the on-disk retention invariants: manifest count, orphan blobs,
 /// log base LSN. Returns non-zero (via Fail) on any violation.
-int VerifyRetention(const std::string& dir, uint32_t retain,
-                    LogFormat log_format) {
+int VerifyRetention(const std::string& dir, uint32_t retain) {
   namespace fs = std::filesystem;
   // The kill may have landed between a commit and the end of its GC pass
   // — a legitimate crash point that leaves one in-flight checkpoint's
@@ -250,7 +244,7 @@ int VerifyRetention(const std::string& dir, uint32_t retain,
       return Fail("orphan blob survived GC: " + name);
     }
   }
-  auto contents = ReadAnyEventLogContents(EventLogPathFor(dir, log_format));
+  auto contents = ReadSegmentedLogContents(EventLogPathFor(dir));
   if (!contents.ok()) return Fail("log: " + contents.status().ToString());
   if (contents->base_lsn > oldest_covered) {
     return Fail("event log truncated past the oldest retained manifest "
@@ -312,7 +306,7 @@ int VerifyAudit(const std::string& dir, const Table& recovered_table) {
 }
 
 int Verify(const std::string& dir, const DemoFlags& flags) {
-  auto recovered = Recover(dir, EventLogPathFor(dir, flags.log_format));
+  auto recovered = Recover(dir, EventLogPathFor(dir));
   if (!recovered.ok()) {
     return Fail("recover: " + recovered.status().ToString());
   }
@@ -367,9 +361,9 @@ int Verify(const std::string& dir, const DemoFlags& flags) {
   if (CheckpointTable(table) != CheckpointTable(reference.value()->table())) {
     return Fail("recovered table differs from the uncrashed reference");
   }
-  // Manifest v2: the tiers committed with the table and must match too.
+  // The manifest committed the tiers with the table; they must match too.
   if (!recovered->cold.has_value() || !recovered->summaries.has_value()) {
-    return Fail("manifest v2 should carry both tier blobs");
+    return Fail("manifest should carry both tier blobs");
   }
   if (CheckpointColdStore(*recovered->cold) !=
       CheckpointColdStore(reference.value()->cold_store())) {
@@ -392,7 +386,7 @@ int Verify(const std::string& dir, const DemoFlags& flags) {
     if (audit_rc != 0) return audit_rc;
   }
   if (flags.retain > 0) {
-    return VerifyRetention(dir, flags.retain, flags.log_format);
+    return VerifyRetention(dir, flags.retain);
   }
   return 0;
 }
@@ -404,13 +398,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s run <dir> [--batches N] [--kill-at-batch K]\n"
                  "          [--backend delete|cold|summary] [--retain R]\n"
-                 "          [--log-format rewrite|segmented] [--dbsize D]\n"
+                 "          [--dbsize D]\n"
                  "          [--storage vector|mapped] [--partition-rows N]\n"
                  "          [--parallelism P] [--metrics-every N]\n"
                  "          [--dump-metrics FILE] [--serve PORT]\n"
                  "          [--audit 1] [--vacuum-age N]\n"
                  "       %s verify <dir> [--backend ...] [--retain R]\n"
-                 "          [--log-format rewrite|segmented] [--dbsize D]\n"
+                 "          [--dbsize D]\n"
                  "          [--storage vector|mapped] [--partition-rows N]\n"
                  "          [--audit 1] [--vacuum-age N]\n"
                  "       %s audit-verify <dir>\n",
@@ -452,16 +446,6 @@ int main(int argc, char** argv) {
       } else {
         std::fprintf(stderr, "unknown storage backend '%s'\n",
                      storage.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--log-format") == 0) {
-      const std::string format = argv[i + 1];
-      if (format == "rewrite") {
-        flags.log_format = LogFormat::kSingleFile;
-      } else if (format == "segmented") {
-        flags.log_format = LogFormat::kSegmented;
-      } else {
-        std::fprintf(stderr, "unknown log format '%s'\n", format.c_str());
         return 2;
       }
     } else if (std::strcmp(argv[i], "--backend") == 0) {

@@ -10,15 +10,15 @@
 // each record embeds the CRC-32 of the previous record's payload,
 // truncating or rewriting history breaks the chain detectably.
 //
-// On disk the ledger reuses the event-log machinery: a dedicated
-// directory of segment files, each opening with a self-describing header
-//   [u32 magic "ALED"][u32 version][u64 base seq][u32 chain seed][u32 crc]
-// followed by ordinary [len|crc32|payload] frames (durability/frame_io.h)
-// whose payloads are ckpt-encoded AuditRecords. The `chain seed` is the
-// frame CRC of the last record in the PREVIOUS segment, so verification
-// can start at any surviving segment — retention GC unlinks sealed
-// segments whole (TruncateBefore, same O(1) contract as the segmented
-// event log) without orphaning the chain.
+// On disk the ledger is a SegmentedRecordLog (durability/
+// segmented_record_log.h), the same segment format as the event journal:
+// a dedicated directory of audit-<base seq>.seg files, each opening with
+// the header [u32 magic "ALED"][u32 version][u64 base seq][u32 chain
+// seed][u32 crc], followed by [len|crc32|payload] frames whose payloads
+// are ckpt-encoded AuditRecords. The chain seed (the header's extension
+// slot) is the frame CRC of the last record in the PREVIOUS segment, so
+// verification can start at any surviving segment — retention GC unlinks
+// sealed segments whole (TruncateBefore) without orphaning the chain.
 //
 // Durability contract: Append flushes the frame to the page cache before
 // returning, and callers append the ledger record only AFTER flushing the
@@ -32,13 +32,13 @@
 #define AMNESIA_AMNESIA_AUDIT_LEDGER_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "durability/segmented_record_log.h"
 
 namespace amnesia {
 
@@ -69,6 +69,11 @@ struct AuditRecord {
   uint64_t wall_ms = 0;   ///< Wall clock (ms since epoch) at append.
   uint64_t lifetime_forgotten = 0;  ///< Table lifetime total after sweep.
 };
+
+/// \brief The ledger's segment files: audit-<base seq>.seg, magic "ALED";
+/// the header's extension slot holds the chain seed.
+inline constexpr SegmentFormat kAuditSegmentFormat{"audit-", 0x44454C41,
+                                                   /*version=*/1};
 
 /// \brief Tuning for an AuditLedger.
 struct AuditLedgerOptions {
@@ -105,13 +110,6 @@ class AuditLedger {
   static StatusOr<AuditLedger> OpenForAppend(
       const std::string& dir, const AuditLedgerOptions& options = {});
 
-  ~AuditLedger();
-
-  AuditLedger(AuditLedger&& other) noexcept;
-  AuditLedger& operator=(AuditLedger&& other) noexcept;
-  AuditLedger(const AuditLedger&) = delete;
-  AuditLedger& operator=(const AuditLedger&) = delete;
-
   /// Stamps `record->seq` and `record->prev_crc`, appends the frame to
   /// the active segment (rolling first at the size threshold) and flushes
   /// it to the page cache before returning.
@@ -134,32 +132,18 @@ class AuditLedger {
   /// Segments TruncateBefore has unlinked in total.
   uint64_t segments_unlinked() const;
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return log_->dir(); }
 
  private:
-  AuditLedger() = default;
+  AuditLedger(std::unique_ptr<SegmentedRecordLog> log,
+              const AuditLedgerOptions& options)
+      : log_(std::move(log)), options_(options) {}
 
-  Status RollLocked();
-  void Close();
-
-  struct Sealed {
-    uint64_t base = 0;   ///< Seq of the segment's first record.
-    uint64_t count = 0;  ///< Records it holds.
-    std::string path;
-  };
-
-  mutable std::mutex mu_;
-  std::string dir_;
+  std::unique_ptr<SegmentedRecordLog> log_;
   AuditLedgerOptions options_;
-  std::deque<Sealed> sealed_;  ///< Oldest first; contiguous up to active.
+  // Guarded by log_->mutex().
   std::deque<AuditRecord> tail_;
-  uint64_t active_base_ = 0;
-  uint64_t active_count_ = 0;
-  uint64_t active_bytes_ = 0;
   uint32_t chain_crc_ = 0;  ///< Frame CRC of the newest record.
-  std::string active_path_;
-  std::FILE* active_ = nullptr;
-  uint64_t unlinked_total_ = 0;
 };
 
 /// \brief Encodes/decodes one record payload (exposed for tests and the
@@ -175,8 +159,10 @@ StatusOr<std::vector<AuditRecord>> ReadAuditRecords(const std::string& dir);
 /// \brief Walks the chain on disk and reports whether it is intact:
 /// segment chain seeds match the running CRC, every record's prev_crc
 /// matches its predecessor's frame CRC, and seqs are contiguous. A
-/// torn final frame is NOT a break (it is the expected crash artifact);
-/// a CRC-valid record whose prev_crc disagrees IS (tampering/splice).
+/// torn final frame or a torn header in a freshly rolled segment is NOT
+/// a break (the expected crash artifacts); a CRC-valid record whose
+/// prev_crc disagrees IS (tampering/splice), and so is a corrupt sealed
+/// segment.
 /// NotFound when `dir` holds no ledger.
 StatusOr<AuditChainReport> VerifyAuditChain(const std::string& dir);
 

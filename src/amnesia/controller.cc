@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "durability/log_segments.h"
 #include "obs/engine_metrics.h"
 #include "obs/trace.h"
 

@@ -76,7 +76,8 @@ class ShardedAmnesiaController {
   /// controller. `oracle` is only needed by kDistributionAligned.
   /// `event_sink` (optional, borrowed) journals every shard's forget-pass
   /// outcomes as durability events carrying that shard's id; the passes
-  /// run concurrently, so the sink must be thread-safe (EventLog is).
+  /// run concurrently, so the sink must be thread-safe (SegmentedEventLog
+  /// is).
   static StatusOr<ShardedAmnesiaController> Make(
       const ShardedControllerOptions& options,
       const PolicyOptions& policy_options, ShardedTable* table,

@@ -3,7 +3,6 @@
 #include "durability/checkpointer.h"
 
 #include <dirent.h>
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <chrono>
@@ -27,12 +26,10 @@ namespace amnesia {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x414D4D46;  // "AMMF"
-// v1: shard blobs only (PR 3 binaries). v2: + cold/summary tier entries.
-// v3: + per-shard mapped-storage fields (partition directory, geometry,
-// live partition names); written only when a shard actually is mapped.
-constexpr uint32_t kManifestVersionV1 = 1;
-constexpr uint32_t kManifestVersionV2 = 2;
-constexpr uint32_t kManifestVersionV3 = 3;
+// The one manifest layout: shard blobs with their mapped-storage fields
+// (empty for vector shards) plus the cold/summary tier entries. Earlier
+// layouts (1: no tiers, 2: no mapped fields) are rejected.
+constexpr uint32_t kManifestVersion = 3;
 constexpr const char* kManifestPrefix = "MANIFEST-";
 constexpr const char* kCurrentName = "CURRENT";
 
@@ -107,14 +104,10 @@ Status DecodeManifestBlob(ckpt::Reader* r, ManifestBlob* blob) {
 }  // namespace
 
 std::vector<uint8_t> EncodeManifest(const Manifest& manifest) {
-  bool any_mapped = false;
-  for (const ManifestShard& shard : manifest.shards) {
-    any_mapped = any_mapped || shard.mapped();
-  }
   std::vector<uint8_t> out;
   ckpt::Writer w(&out);
   w.U32(kManifestMagic);
-  w.U32(any_mapped ? kManifestVersionV3 : kManifestVersionV2);
+  w.U32(kManifestVersion);
   w.U64(manifest.id);
   w.U64(manifest.covered_lsn);
   w.U64(manifest.ingest_cursor);
@@ -124,12 +117,10 @@ std::vector<uint8_t> EncodeManifest(const Manifest& manifest) {
     w.String(shard.filename);
     w.U64(shard.size);
     w.U32(shard.crc32);
-    if (any_mapped) {
-      w.String(shard.storage_dir);
-      w.U64(shard.partition_rows);
-      w.U64(shard.partitions.size());
-      for (const std::string& name : shard.partitions) w.String(name);
-    }
+    w.String(shard.storage_dir);
+    w.U64(shard.partition_rows);
+    w.U64(shard.partitions.size());
+    for (const std::string& name : shard.partitions) w.String(name);
   }
   EncodeManifestBlob(&w, manifest.cold);
   EncodeManifestBlob(&w, manifest.summary);
@@ -157,7 +148,7 @@ StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer) {
     return Status::InvalidArgument("not an AmnesiaDB checkpoint manifest");
   }
   AMNESIA_RETURN_NOT_OK(r.U32(&version));
-  if (version < kManifestVersionV1 || version > kManifestVersionV3) {
+  if (version != kManifestVersion) {
     return Status::FailedPrecondition("unsupported manifest version " +
                                       std::to_string(version));
   }
@@ -176,24 +167,20 @@ StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer) {
     AMNESIA_RETURN_NOT_OK(r.String(&shard.filename));
     AMNESIA_RETURN_NOT_OK(r.U64(&shard.size));
     AMNESIA_RETURN_NOT_OK(r.U32(&shard.crc32));
-    if (version >= kManifestVersionV3) {
-      AMNESIA_RETURN_NOT_OK(r.String(&shard.storage_dir));
-      AMNESIA_RETURN_NOT_OK(r.U64(&shard.partition_rows));
-      uint64_t parts = 0;
-      AMNESIA_RETURN_NOT_OK(r.U64(&parts));
-      if (parts > (uint64_t{1} << 32)) {
-        return Status::InvalidArgument("implausible manifest partition count");
-      }
-      shard.partitions.resize(static_cast<size_t>(parts));
-      for (std::string& name : shard.partitions) {
-        AMNESIA_RETURN_NOT_OK(r.String(&name));
-      }
+    AMNESIA_RETURN_NOT_OK(r.String(&shard.storage_dir));
+    AMNESIA_RETURN_NOT_OK(r.U64(&shard.partition_rows));
+    uint64_t parts = 0;
+    AMNESIA_RETURN_NOT_OK(r.U64(&parts));
+    if (parts > (uint64_t{1} << 32)) {
+      return Status::InvalidArgument("implausible manifest partition count");
+    }
+    shard.partitions.resize(static_cast<size_t>(parts));
+    for (std::string& name : shard.partitions) {
+      AMNESIA_RETURN_NOT_OK(r.String(&name));
     }
   }
-  if (version >= kManifestVersionV2) {
-    AMNESIA_RETURN_NOT_OK(DecodeManifestBlob(&r, &manifest.cold));
-    AMNESIA_RETURN_NOT_OK(DecodeManifestBlob(&r, &manifest.summary));
-  }
+  AMNESIA_RETURN_NOT_OK(DecodeManifestBlob(&r, &manifest.cold));
+  AMNESIA_RETURN_NOT_OK(DecodeManifestBlob(&r, &manifest.summary));
   return manifest;
 }
 
@@ -218,36 +205,12 @@ Status ClearCheckpointArtifacts(const std::string& dir) {
   return Status::OK();
 }
 
-Status EnsureDir(const std::string& dir) {
-  struct stat st;
-  if (stat(dir.c_str(), &st) == 0) {
-    if (!S_ISDIR(st.st_mode)) {
-      return Status::InvalidArgument("'" + dir + "' exists but is not a "
-                                     "directory");
-    }
-    return Status::OK();
-  }
-  if (mkdir(dir.c_str(), 0755) != 0) {
-    return Status::Internal("cannot create checkpoint directory '" + dir +
-                            "'");
-  }
-  return Status::OK();
-}
-
 // -------------------------------------------------- BackgroundCheckpointer
 
 StatusOr<BackgroundCheckpointer> BackgroundCheckpointer::Make(
     const CheckpointerOptions& options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("checkpointer needs a directory");
-  }
-  if (options.log != nullptr) {
-    const bool is_segmented =
-        dynamic_cast<SegmentedEventLog*>(options.log) != nullptr;
-    if (is_segmented != (options.log_format == LogFormat::kSegmented)) {
-      return Status::InvalidArgument(
-          "log_format does not match the log implementation");
-    }
   }
   AMNESIA_RETURN_NOT_OK(EnsureDir(options.dir));
   BackgroundCheckpointer out(options);
@@ -538,7 +501,7 @@ Status BackgroundCheckpointer::WriteSnapshot(
   }
 
   // Tier blobs, captured in the same pass as the shards and committed by
-  // the same manifest — the whole point of manifest v2.
+  // the same manifest.
   if (snapshot.cold != nullptr) {
     AMNESIA_RETURN_NOT_OK(WriteTierBlob(
         options.dir, CheckpointColdStore(*snapshot.cold),
@@ -694,10 +657,10 @@ StatusOr<std::vector<uint8_t>> ReadVerifiedBlob(const std::string& dir,
   return blob;
 }
 
-/// Restores every shard a manifest references. Mapped shards (v3
-/// manifests) re-map their partition files from the recorded storage
-/// directory instead of deserializing the sealed payload; a torn or
-/// missing partition file fails the manifest so recovery falls back.
+/// Restores every shard a manifest references. Mapped shards re-map their
+/// partition files from the recorded storage directory instead of
+/// deserializing the sealed payload; a torn or missing partition file
+/// fails the manifest so recovery falls back.
 Status RestoreManifestShards(const std::string& dir, const Manifest& manifest,
                              std::vector<Table>* out) {
   out->clear();
@@ -713,8 +676,8 @@ Status RestoreManifestShards(const std::string& dir, const Manifest& manifest,
   return Status::OK();
 }
 
-/// Restores the tier blobs a v2 manifest references (v1 manifests have
-/// none and leave the optionals empty).
+/// Restores the tier blobs a manifest references (an absent tier leaves
+/// its optional empty).
 Status RestoreManifestTiers(const std::string& dir, const Manifest& manifest,
                             RecoveredState* state) {
   state->cold.reset();
@@ -766,13 +729,14 @@ StatusOr<RecoveredState> Recover(const std::string& dir,
   }
 
   // The log is shared by every candidate; read it once. An absent log
-  // file means no events were recorded after the snapshot (restore it
-  // as-is); any other read failure is a real I/O error and recovery must
-  // not silently pretend the log was empty.
+  // directory means no events were recorded after the snapshot (restore
+  // it as-is); any other read failure — including a path that exists but
+  // is not a segment directory — is a real error, and recovery must not
+  // silently pretend the log was empty.
   EventLogContents log;
   bool log_present = false;
   if (!log_path.empty()) {
-    auto read = ReadAnyEventLogContents(log_path);
+    auto read = ReadSegmentedLogContents(log_path);
     if (read.ok()) {
       log = std::move(read).value();
       log_present = true;

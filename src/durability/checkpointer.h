@@ -15,10 +15,12 @@
 //   <dir>/ckpt-<id>-summary.blob    summary tier at checkpoint <id>
 //   <dir>/MANIFEST-<id>             blob list + covered event-log LSN
 //   <dir>/CURRENT                   name of the newest manifest
-//   <dir>/<events file>             the EventLog (owned by the caller)
+//   <dir>/events.segs/              the SegmentedEventLog (owned by the
+//                                   caller; EventLogPathFor)
 //
-// Manifest v2 adds the tier entries; v1 manifests (no tiers) still
-// decode, so directories written by pre-tier binaries recover unchanged.
+// Manifests have one layout: every shard entry carries the mapped-storage
+// fields (empty for vector shards) and the manifest carries both tier
+// entries. Any other manifest version is rejected as FailedPrecondition.
 //
 // Retention GC: with CheckpointerOptions::retain = R, each commit keeps
 // the newest R manifests, deletes manifests below them, deletes every
@@ -51,6 +53,7 @@
 #include "durability/event_log.h"
 #include "durability/snapshot.h"
 #include "storage/cold_store.h"
+#include "storage/mapped_file.h"  // EnsureDir
 #include "storage/sharded_table.h"
 #include "storage/summary_store.h"
 #include "storage/table.h"
@@ -64,7 +67,7 @@ struct ManifestShard {
   uint64_t size = 0;      ///< Blob size in bytes.
   uint32_t crc32 = 0;     ///< CRC-32 of the blob bytes.
 
-  /// \name Mapped-shard storage (v3 manifests; empty for vector shards).
+  /// \name Mapped-shard storage (empty for vector shards).
   /// @{
   /// Partition directory of the shard; recovery re-maps partition files
   /// from here. Empty means the blob is self-contained (vector shard).
@@ -79,7 +82,7 @@ struct ManifestShard {
   bool mapped() const { return !storage_dir.empty(); }
 };
 
-/// \brief One tier entry of a v2 manifest (cold or summary store blob).
+/// \brief One tier entry of a manifest (cold or summary store blob).
 /// An empty filename means the checkpoint did not capture that tier.
 struct ManifestBlob {
   std::string filename;  ///< Blob file name, relative to the directory.
@@ -95,24 +98,18 @@ struct Manifest {
   uint64_t covered_lsn = 0;  ///< Event-log position the snapshot covers.
   uint64_t ingest_cursor = 0;
   std::vector<ManifestShard> shards;
-  ManifestBlob cold;     ///< Cold tier blob (v2; absent in v1 manifests).
-  ManifestBlob summary;  ///< Summary tier blob (v2; absent in v1).
+  ManifestBlob cold;     ///< Cold tier blob.
+  ManifestBlob summary;  ///< Summary tier blob.
 };
 
 /// \brief Serializes a manifest (self-checksummed: the trailing CRC-32
-/// covers everything before it, so truncation is detectable). Emits the
-/// v2 format unless a shard carries mapped-storage fields, in which case
-/// it emits v3 — directories written by vector-backed runs stay
-/// byte-compatible with older readers.
+/// covers everything before it, so truncation is detectable).
 std::vector<uint8_t> EncodeManifest(const Manifest& manifest);
 
-/// \brief Decodes and verifies a manifest buffer, v1 through v3 (v1 has
-/// no tier entries, v2 no mapped-storage fields). InvalidArgument on a
-/// truncated or corrupt manifest.
+/// \brief Decodes and verifies a manifest buffer. InvalidArgument on a
+/// truncated or corrupt manifest, FailedPrecondition on a version other
+/// than the one this build writes.
 StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer);
-
-/// \brief Creates `dir` if it does not exist (single level).
-Status EnsureDir(const std::string& dir);
 
 /// \brief Deletes every checkpoint artifact (manifests, CURRENT, shard and
 /// tier blobs) in `dir`, leaving other files alone. A process starting a
@@ -120,8 +117,8 @@ Status EnsureDir(const std::string& dir);
 /// (the simulator does): its fresh event log invalidates the old
 /// manifests' covered LSNs, and mixing the two would let recovery replay
 /// new events onto an old snapshot. A process RESUMING recovered state
-/// keeps the artifacts and reopens the log with EventLog::OpenForAppend
-/// instead.
+/// keeps the artifacts and reopens the log with
+/// SegmentedEventLog::OpenForAppend instead.
 Status ClearCheckpointArtifacts(const std::string& dir);
 
 /// \brief Checkpoint writer tuning.
@@ -140,15 +137,9 @@ struct CheckpointerOptions {
   /// and truncate `log` (when given) below the oldest retained manifest's
   /// covered LSN. 0 disables GC entirely (keep every checkpoint).
   uint32_t retain = 0;
-  /// Declared layout of the event log `log` points at; Make() rejects a
-  /// `log` whose implementation does not match, so a caller cannot pair
-  /// a directory with the wrong format by accident. (The GC itself
-  /// truncates through the EventLogBase interface, and Recover() detects
-  /// the on-disk format.) kSingleFile rewrites the retained suffix per
-  /// truncation (O(retained events), appenders blocked); kSegmented
-  /// unlinks whole segment files (O(1), concurrent with appends —
-  /// durability/log_segments.h).
-  LogFormat log_format = LogFormat::kSingleFile;
+  /// Selects nothing: the segmented log is the only layout. Kept so
+  /// existing callers compile; the next benchmark change can drop it.
+  LogFormat log_format = LogFormat::kSegmented;
   /// Event log the retention GC truncates (nullptr = no log truncation).
   /// Must outlive the checkpointer; TruncateBefore is thread-safe against
   /// the mutator's concurrent appends.
@@ -291,9 +282,8 @@ class BackgroundCheckpointer {
 struct RecoveredState {
   /// Restored shards in shard order; single-shard for unsharded tables.
   std::vector<Table> shards;
-  /// Restored tiers (set iff the manifest carried the tier blob; v1
-  /// manifests never do). Log-tail forget events were already re-routed
-  /// into them.
+  /// Restored tiers (set iff the manifest carried the tier blob).
+  /// Log-tail forget events were already re-routed into them.
   std::optional<ColdStore> cold;
   std::optional<SummaryStore> summaries;
   uint64_t ingest_cursor = 0;
@@ -303,12 +293,13 @@ struct RecoveredState {
 };
 
 /// \brief Recovers the newest consistent state from a checkpoint
-/// directory plus an event log. `log_path` may be "" to skip replay
-/// (restore the snapshot only), a legacy single-file log, or a segmented
-/// log directory (the format is detected from disk). When the manifest
-/// carries tier blobs the replayed forget events re-route into the
-/// restored tiers; `sinks` only applies to tiers the manifest does NOT
-/// cover (v1 directories). Returns NotFound when no valid manifest
+/// directory plus an event log. `log_path` is a segmented log directory
+/// (EventLogPathFor), or "" to skip replay (restore the snapshot only). A
+/// missing directory means no event was journaled after the snapshot; a
+/// path that exists but is not a directory is InvalidArgument, never "no
+/// log". When the manifest carries tier blobs the replayed forget events
+/// re-route into the restored tiers; `sinks` only applies to tiers the
+/// manifest does NOT cover. Returns NotFound when no valid manifest
 /// exists.
 StatusOr<RecoveredState> Recover(const std::string& dir,
                                  const std::string& log_path,

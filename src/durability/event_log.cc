@@ -2,105 +2,12 @@
 
 #include "durability/event_log.h"
 
-#include <unistd.h>
-
 #include <utility>
 
 #include "amnesia/controller.h"
-#include "durability/frame_io.h"
-#include "obs/engine_metrics.h"
 #include "storage/checkpoint_io.h"
 
 namespace amnesia {
-
-namespace {
-
-/// One flush reached the OS: note it and the group-commit batch it
-/// covered (0 = an explicit barrier with nothing pending; not a batch).
-void NoteLogFlush(uint32_t batch_size) {
-  obs::EngineMetrics& m = obs::EngineMetrics::Get();
-  m.log_fsyncs->Inc();
-  if (batch_size > 0) m.log_batch_size->Record(batch_size);
-}
-
-// A truncated log file opens with one marker frame whose payload is
-// [u8 0]["TRNC"][u64 base_lsn]. Kind byte 0 is outside the EventKind
-// range, so the marker can never collide with a real event; readers from
-// before log compaction existed stop at it, which only costs them the
-// suffix of an already-compacted log.
-constexpr uint8_t kMarkerKindByte = 0;
-constexpr uint32_t kTruncationMagic = 0x434E5254;  // "TRNC"
-constexpr size_t kMarkerPayloadSize = 1 + 4 + 8;
-
-std::vector<uint8_t> EncodeTruncationMarker(uint64_t base_lsn) {
-  std::vector<uint8_t> out;
-  ckpt::Writer w(&out);
-  w.U8(kMarkerKindByte);
-  w.U32(kTruncationMagic);
-  w.U64(base_lsn);
-  return out;
-}
-
-/// Returns true (and the base LSN) when `payload` is a truncation marker.
-bool DecodeTruncationMarker(const std::vector<uint8_t>& payload,
-                            uint64_t* base_lsn) {
-  if (payload.size() != kMarkerPayloadSize ||
-      payload[0] != kMarkerKindByte) {
-    return false;
-  }
-  uint32_t magic = 0;
-  std::memcpy(&magic, payload.data() + 1, sizeof(magic));
-  if (magic != kTruncationMagic) return false;
-  std::memcpy(base_lsn, payload.data() + 1 + sizeof(magic),
-              sizeof(*base_lsn));
-  return true;
-}
-
-using wal::WriteFrame;
-
-/// Rewrites the log at `path` to hold a base-LSN marker (when base_lsn >
-/// 0) plus events[begin..], atomically: everything goes to a ".tmp"
-/// sibling that renames over the log, so a crash at any point leaves
-/// either the old or the new file complete — never a torn rewrite. The
-/// orphan ".tmp" of a crashed rewrite is simply overwritten next time.
-Status RewriteLogFileAtomic(const std::string& path, uint64_t base_lsn,
-                            const std::vector<Event>& events, size_t begin) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open '" + tmp + "' for log rewrite");
-  }
-  Status written = Status::OK();
-  if (base_lsn > 0) {
-    written = WriteFrame(f, EncodeTruncationMarker(base_lsn), tmp);
-  }
-  for (size_t i = begin; written.ok() && i < events.size(); ++i) {
-    written = WriteFrame(f, EncodeEvent(events[i]), tmp);
-  }
-  // fflush drains stdio to the page cache; fsync orders the data blocks
-  // before the rename's metadata. Without it a power loss after the
-  // rename could surface an empty rewritten log — and unlike a torn blob
-  // or manifest, a lost log suffix has no older artifact to fall back to.
-  if (!written.ok() || std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    return written.ok()
-               ? Status::Internal("cannot flush rewritten log '" + tmp + "'")
-               : written;
-  }
-  if (std::fclose(f) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot close rewritten log '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename rewritten log over '" + path +
-                            "'");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 std::vector<uint8_t> EncodeEvent(const Event& event) {
   std::vector<uint8_t> out;
@@ -306,208 +213,6 @@ StatusOr<uint64_t> ReplayEvents(const std::vector<Event>& events,
     ++applied;
   }
   return applied;
-}
-
-// --------------------------------------------------------------- EventLog
-
-StatusOr<EventLog> EventLog::Open(const std::string& path) {
-  EventLog log;
-  log.path_ = path;
-  log.file_ = std::fopen(path.c_str(), "wb");
-  if (log.file_ == nullptr) {
-    return Status::Internal("cannot open event log '" + path + "'");
-  }
-  return log;
-}
-
-StatusOr<EventLog> EventLog::OpenForAppend(const std::string& path) {
-  AMNESIA_ASSIGN_OR_RETURN(EventLogContents prefix,
-                           ReadEventLogContents(path));
-  // Rewrite the valid prefix (atomically, via tmp + rename): a torn final
-  // frame must not precede new appends, or the reader would stop in front
-  // of them forever — and a crash mid-rewrite must leave the old log
-  // intact, not a shorter one.
-  AMNESIA_RETURN_NOT_OK(
-      RewriteLogFileAtomic(path, prefix.base_lsn, prefix.events, 0));
-  EventLog log;
-  log.path_ = path;
-  log.base_lsn_ = prefix.base_lsn;
-  log.events_ = std::move(prefix.events);
-  log.file_ = std::fopen(path.c_str(), "ab");
-  if (log.file_ == nullptr) {
-    return Status::Internal("cannot reopen event log '" + path + "'");
-  }
-  return log;
-}
-
-EventLog::~EventLog() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-EventLog::EventLog(EventLog&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  events_ = std::move(other.events_);
-  base_lsn_ = other.base_lsn_;
-  path_ = std::move(other.path_);
-  file_ = other.file_;
-  sync_ = other.sync_;
-  pending_flush_ = other.pending_flush_;
-  oldest_pending_ = other.oldest_pending_;
-  other.file_ = nullptr;
-  other.base_lsn_ = 0;
-  other.path_.clear();
-  other.pending_flush_ = 0;
-}
-
-EventLog& EventLog::operator=(EventLog&& other) noexcept {
-  if (this == &other) return *this;
-  if (file_ != nullptr) std::fclose(file_);
-  std::lock_guard<std::mutex> lock(other.mu_);
-  events_ = std::move(other.events_);
-  base_lsn_ = other.base_lsn_;
-  path_ = std::move(other.path_);
-  file_ = other.file_;
-  sync_ = other.sync_;
-  pending_flush_ = other.pending_flush_;
-  oldest_pending_ = other.oldest_pending_;
-  other.file_ = nullptr;
-  other.base_lsn_ = 0;
-  other.path_.clear();
-  other.pending_flush_ = 0;
-  return *this;
-}
-
-Status EventLog::Append(const Event& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs::EngineMetrics::Get().log_appends->Inc();
-  if (file_ != nullptr) {
-    AMNESIA_RETURN_NOT_OK(WriteFrame(file_, EncodeEvent(event), path_));
-    AMNESIA_RETURN_NOT_OK(MaybeFlushLocked());
-  }
-  events_.push_back(event);
-  return Status::OK();
-}
-
-namespace log_internal {
-
-bool ShouldFlushAfterAppend(const SyncPolicy& sync, uint32_t* pending,
-                            std::chrono::steady_clock::time_point* oldest) {
-  if (sync.kind != SyncPolicy::Kind::kGroupCommit) return true;
-  if (*pending == 0) *oldest = std::chrono::steady_clock::now();
-  ++*pending;
-  if (*pending >= sync.group_events) return true;
-  if (sync.group_interval_ms <= 0.0) return false;
-  const double age_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - *oldest)
-                            .count();
-  return age_ms >= sync.group_interval_ms;
-}
-
-}  // namespace log_internal
-
-Status EventLog::MaybeFlushLocked() {
-  if (file_ == nullptr) return Status::OK();
-  if (!log_internal::ShouldFlushAfterAppend(sync_, &pending_flush_,
-                                            &oldest_pending_)) {
-    return Status::OK();  // the batch is still filling
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::Internal("event log flush failed on '" + path_ + "'");
-  }
-  // pending_flush_ stays 0 under every-append sync; that is a batch of 1.
-  NoteLogFlush(pending_flush_ == 0 ? 1 : pending_flush_);
-  pending_flush_ = 0;
-  return Status::OK();
-}
-
-void EventLog::set_sync_policy(const SyncPolicy& policy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sync_ = policy;
-}
-
-Status EventLog::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr && std::fflush(file_) != 0) {
-    return Status::Internal("event log flush failed on '" + path_ + "'");
-  }
-  if (file_ != nullptr) NoteLogFlush(pending_flush_);
-  pending_flush_ = 0;
-  return Status::OK();
-}
-
-Status EventLog::TruncateBefore(uint64_t lsn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (lsn <= base_lsn_) return Status::OK();  // already below the base
-  if (lsn > base_lsn_ + events_.size()) {
-    return Status::InvalidArgument(
-        "cannot truncate to LSN " + std::to_string(lsn) + ": log holds [" +
-        std::to_string(base_lsn_) + ", " +
-        std::to_string(base_lsn_ + events_.size()) + ")");
-  }
-  const auto drop =
-      static_cast<std::vector<Event>::difference_type>(lsn - base_lsn_);
-
-  if (file_ != nullptr) {
-    AMNESIA_RETURN_NOT_OK(RewriteLogFileAtomic(
-        path_, lsn, events_, static_cast<size_t>(drop)));
-    // The old handle still points at the unlinked inode; reopen so
-    // subsequent appends land in the new file. The rewrite came from
-    // memory, so frames pending under group commit are in it already.
-    std::fclose(file_);
-    pending_flush_ = 0;
-    file_ = std::fopen(path_.c_str(), "ab");
-    if (file_ == nullptr) {
-      return Status::Internal("cannot reopen event log '" + path_ +
-                              "' after truncation");
-    }
-  }
-  events_.erase(events_.begin(), events_.begin() + drop);
-  base_lsn_ = lsn;
-  obs::EngineMetrics::Get().log_truncations->Inc();
-  return Status::OK();
-}
-
-uint64_t EventLog::next_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return base_lsn_ + events_.size();
-}
-
-uint64_t EventLog::base_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return base_lsn_;
-}
-
-StatusOr<EventLogContents> ReadEventLogContents(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open event log '" + path + "'");
-  }
-  EventLogContents contents;
-  bool first_frame = true;
-  std::vector<uint8_t> payload;
-  while (wal::ReadFrame(f, &payload)) {
-    uint64_t base = 0;
-    if (DecodeTruncationMarker(payload, &base)) {
-      // Only valid as the leading frame (TruncateBefore rewrites the
-      // whole file); anywhere else it is corruption — stop at it.
-      if (!first_frame) break;
-      contents.base_lsn = base;
-      first_frame = false;
-      continue;
-    }
-    first_frame = false;
-    auto event = DecodeEvent(payload);
-    if (!event.ok()) break;
-    contents.events.push_back(std::move(event).value());
-  }
-  std::fclose(f);
-  return contents;
-}
-
-StatusOr<std::vector<Event>> ReadEventLogFile(const std::string& path) {
-  AMNESIA_ASSIGN_OR_RETURN(EventLogContents contents,
-                           ReadEventLogContents(path));
-  return std::move(contents.events);
 }
 
 }  // namespace amnesia

@@ -13,14 +13,15 @@
 // RNG or oracle state. Events carry (shard, local row) addressing; events
 // on different shards commute, so the shard-parallel forget passes may
 // interleave their appends — per-shard order is all replay relies on.
+//
+// This header holds the event codec, replay and the EventSink interface;
+// the journal that stores events on disk is SegmentedEventLog
+// (durability/log_segments.h).
 
 #ifndef AMNESIA_DURABILITY_EVENT_LOG_H_
 #define AMNESIA_DURABILITY_EVENT_LOG_H_
 
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -122,16 +123,11 @@ class EventSink {
   virtual Status Flush() { return Status::OK(); }
 };
 
-/// \brief On-disk layout of a physical event log.
+/// \brief On-disk layout of the event log. Segment files compacted by
+/// unlinking sealed segments wholly below the truncation LSN
+/// (SegmentedEventLog, durability/log_segments.h) is the only layout; the
+/// `log_format` fields that carry this enum select nothing.
 enum class LogFormat : uint8_t {
-  /// One file, compacted by atomically rewriting the retained suffix
-  /// behind a base-LSN marker frame (EventLog). Simple, but the rewrite
-  /// is O(retained events) and blocks appenders for its duration.
-  kSingleFile = 0,
-  /// Fixed-size segment files, compacted by unlinking sealed segments
-  /// wholly below the truncation LSN (SegmentedEventLog,
-  /// durability/log_segments.h). O(1) per checkpoint and concurrent with
-  /// appends.
   kSegmented = 1,
 };
 
@@ -143,7 +139,7 @@ enum class LogFormat : uint8_t {
 /// flush per event.
 struct SyncPolicy {
   enum class Kind : uint8_t {
-    kEveryAppend = 0,  ///< Flush after each event (the PR 3 behavior).
+    kEveryAppend = 0,  ///< Flush after each event.
     kGroupCommit = 1,  ///< Flush after N events or after an interval.
   };
   Kind kind = Kind::kEveryAppend;
@@ -163,144 +159,12 @@ struct SyncPolicy {
   }
 };
 
-namespace log_internal {
+class SegmentedEventLog;
 
-/// Shared group-commit trigger: accounts one just-written frame against
-/// `pending`/`oldest` and returns true when the policy wants a flush now
-/// (always, under every-append). Both log formats call this under their
-/// append mutex so the two cannot drift.
-bool ShouldFlushAfterAppend(const SyncPolicy& sync, uint32_t* pending,
-                            std::chrono::steady_clock::time_point* oldest);
-
-}  // namespace log_internal
-
-/// \brief The log surface the durability subsystem programs against:
-/// appends, explicit flush (group-commit barriers at batch/checkpoint
-/// boundaries), LSN accounting and prefix truncation. EventLog and
-/// SegmentedEventLog both implement it, so the checkpointer's retention
-/// GC and the simulator are format-agnostic.
-class EventLogBase : public EventSink {
- public:
-  /// Pushes every appended frame to the page cache. Called at batch and
-  /// checkpoint boundaries under group commit; a no-op under every-append.
-  virtual Status Flush() = 0;
-  /// Discards every event with LSN < `lsn` (how is format-specific; both
-  /// are crash-atomic, LSN-stable and safe against concurrent Append).
-  virtual Status TruncateBefore(uint64_t lsn) = 0;
-  /// Returns the LSN the next event will get (== events ever appended).
-  virtual uint64_t next_lsn() const = 0;
-  /// Returns the LSN of the oldest retained event.
-  virtual uint64_t base_lsn() const = 0;
-};
-
-/// \brief Append-only, optionally file-backed event log.
-///
-/// Every record is framed as [u32 length][u32 crc32][payload] and flushed
-/// on append, so a crash can tear at most the final frame; the reader
-/// stops cleanly at a torn or corrupt frame and returns the valid prefix
-/// (standard WAL semantics). Positions in the log are LSNs: the index of
-/// an event since the log was opened. A checkpoint manifest records the
-/// LSN its snapshot covers; recovery replays everything after it.
-///
-/// Compaction: TruncateBefore(lsn) discards the prefix below `lsn` once a
-/// retained checkpoint covers it. LSNs are stable across truncation — a
-/// truncated file starts with a marker frame recording its base LSN, and
-/// the events that remain keep the LSNs they were appended at.
-class EventLog : public EventLogBase {
- public:
-  /// Opens a memory-only log (tests, benches that never crash).
-  EventLog() = default;
-
-  /// Opens (creating or truncating) a file-backed log at `path`.
-  static StatusOr<EventLog> Open(const std::string& path);
-
-  /// Re-opens an existing file-backed log for appending, first reading
-  /// the valid prefix so next_lsn() continues where the previous process
-  /// stopped, then rewriting that prefix so any torn final frame is
-  /// physically truncated BEFORE new appends land — a frame written after
-  /// garbage would be unreachable to every future reader. The rewrite is
-  /// atomic (tmp file + rename), so a crash mid-reopen leaves the old
-  /// log intact. Preserves the base LSN of a previously truncated log.
-  /// Used when a recovered process resumes logging.
-  static StatusOr<EventLog> OpenForAppend(const std::string& path);
-
-  ~EventLog() override;
-
-  EventLog(EventLog&& other) noexcept;
-  EventLog& operator=(EventLog&& other) noexcept;
-  EventLog(const EventLog&) = delete;
-  EventLog& operator=(const EventLog&) = delete;
-
-  /// Appends one event (retained in memory; written to the file when
-  /// file-backed and flushed per the sync policy). Thread-safe.
-  Status Append(const Event& event) override;
-
-  /// Sets when appends flush (default: every append). Thread-safe; takes
-  /// effect from the next Append.
-  void set_sync_policy(const SyncPolicy& policy);
-
-  /// Flushes any pending group-commit frames to the page cache.
-  Status Flush() override;
-
-  /// Discards every event with LSN < `lsn` (a no-op when `lsn` is at or
-  /// below the current base). File-backed logs rewrite atomically: the
-  /// retained suffix goes to a sibling ".tmp" file behind a base-LSN
-  /// marker frame, which renames over the log — a crash at any point
-  /// leaves either the old or the new file complete, never a mix.
-  /// Thread-safe with respect to concurrent Append (appends block for the
-  /// duration of the rewrite and then land in the new file). Rejects
-  /// `lsn` beyond next_lsn(): truncating events that were never appended
-  /// is a caller bug, not a request.
-  Status TruncateBefore(uint64_t lsn) override;
-
-  /// Returns the LSN the next event will get (== events ever appended).
-  uint64_t next_lsn() const override;
-
-  /// Returns the LSN of the oldest retained event (0 until the first
-  /// TruncateBefore).
-  uint64_t base_lsn() const override;
-
-  /// In-memory view of the retained events: events()[i] has LSN
-  /// base_lsn() + i. Not safe to call concurrently with Append or
-  /// TruncateBefore.
-  const std::vector<Event>& events() const { return events_; }
-
-  /// Returns the file path ("" when memory-only).
-  const std::string& path() const { return path_; }
-
- private:
-  /// Flushes per the sync policy after a frame write. Caller holds mu_.
-  Status MaybeFlushLocked();
-
-  mutable std::mutex mu_;
-  std::vector<Event> events_;
-  uint64_t base_lsn_ = 0;
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  SyncPolicy sync_;
-  uint32_t pending_flush_ = 0;  ///< Frames written since the last flush.
-  std::chrono::steady_clock::time_point oldest_pending_;
-};
-
-/// \brief What ReadEventLogContents returns: the retained events plus the
-/// base LSN the file's marker frame recorded (0 for never-truncated logs).
-/// events[i] has LSN base_lsn + i.
-struct EventLogContents {
-  uint64_t base_lsn = 0;
-  std::vector<Event> events;
-
-  /// Returns the LSN one past the last retained event.
-  uint64_t next_lsn() const { return base_lsn + events.size(); }
-};
-
-/// \brief Reads the valid prefix of a log file, including its base LSN.
-/// Torn or corrupt tails are dropped silently (they are the expected
-/// crash artifact); a missing file is NotFound.
-StatusOr<EventLogContents> ReadEventLogContents(const std::string& path);
-
-/// \brief Convenience wrapper returning only the retained events (callers
-/// that need LSN addressing use ReadEventLogContents).
-StatusOr<std::vector<Event>> ReadEventLogFile(const std::string& path);
+/// \brief The journal type the durability subsystem programs against
+/// (checkpointer retention GC, simulator, audit LSN stamping). The
+/// segmented log is its one implementation.
+using EventLogBase = SegmentedEventLog;
 
 }  // namespace amnesia
 

@@ -1,10 +1,8 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Shared [u32 length][u32 crc32][payload] record framing for the event-log
-// family. EventLog (single rewrite-compacted file) and SegmentedEventLog
-// (segment files unlinked whole) both write exactly these frames, which is
-// what keeps the two formats byte-compatible at the record level: the
-// migration split and the equivalence tests compare payload-for-payload.
+// [u32 length][u32 crc32][payload] record framing of the segmented
+// record log (segmented_record_log.h), the format under both the event
+// journal and the audit ledger.
 //
 // Reader semantics are the WAL standard: a short header, a short payload,
 // an implausible length or a CRC mismatch all mean "the valid prefix ends

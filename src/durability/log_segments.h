@@ -1,185 +1,127 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Segmented event log: the same CRC-framed event stream as EventLog,
-// striped across fixed-size segment files so that log compaction is O(1)
-// and concurrent with appends. This is what keeps forgetting-heavy runs
-// from stalling ingest at scale: EventLog::TruncateBefore rewrites the
-// whole retained suffix under the append mutex (O(retained events) of
-// blocked appenders after every checkpoint), while here truncation just
-// unlinks the sealed segment files wholly below the covered LSN — the
-// retention strategy production time-series stores use for expiry.
+// Segmented event log: the durability subsystem's journal. Events are
+// EncodeEvent payloads in a SegmentedRecordLog (durability/
+// segmented_record_log.h), whose sequence numbers are the LSNs a
+// checkpoint manifest's covered position refers to. Compaction is O(1)
+// and concurrent with appends: TruncateBefore unlinks the sealed segment
+// files wholly below the covered LSN — the retention strategy production
+// time-series stores use for expiry.
 //
 // Directory layout (`dir` is dedicated to one log):
 //   <dir>/log-<base_lsn>.seg    events [base_lsn, next segment's base)
 //
-// Each segment opens with a self-describing header
-// [u32 magic "ASEG"][u32 format version][u64 base LSN][u32 header CRC]
-// followed by ordinary [len|crc|payload] event frames (frame_io.h). The
-// base LSN lives in the header — not in a marker frame and not only in
-// the filename — so LSN addressing survives renames and never depends on
-// decoding a special event.
-//
-// Appends go to the newest ("active") segment and roll to a fresh file at
-// the size threshold; sealed segments are immutable and fsynced at seal.
-// TruncateBefore(lsn) splices sealed segments wholly below `lsn` out of
-// the index under the mutex (O(1) per segment) and unlinks the files
-// outside it, oldest first — each unlink is individually crash-atomic,
-// and a crash mid-pass leaves a contiguous suffix plus fully-valid stale
-// segments that the next truncation collects. A segment `lsn` lands
-// inside is retained whole (compaction is conservative, never partial).
-//
-// Recovery (ReadSegmentedLogContents) scans segments in base-LSN order
-// and stops at the first break in the chain: a torn tail in the newest
-// segment is dropped (the expected crash artifact), a corrupt middle
-// segment ends the valid prefix at its last good frame, and segments left
-// behind by a crash between a checkpoint's GC and its unlink pass are
-// read normally (replay starts at the manifest's covered LSN anyway).
-//
-// OpenForAppend on a directory whose process previously wrote the legacy
-// single-file format (SegmentedLogOptions::migrate_from) performs a
-// one-time migration: the v1 file's valid prefix — including its
-// truncation-marker base LSN — is split into segments, and the v1 file is
-// removed only after the split is durable, so a crash at any migration
-// point leaves the v1 file authoritative and the next open re-runs the
-// split from scratch.
+// Recovery (ReadSegmentedLogContents) reads the valid prefix of the
+// segment chain: a torn tail in the newest segment is dropped (the
+// expected crash artifact), a corrupt middle segment ends the prefix at
+// its last good frame, and segments left behind by a crash between a
+// checkpoint's GC and its unlink pass are read normally (replay starts at
+// the manifest's covered LSN anyway).
 
 #ifndef AMNESIA_DURABILITY_LOG_SEGMENTS_H_
 #define AMNESIA_DURABILITY_LOG_SEGMENTS_H_
 
+#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <deque>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "durability/event_log.h"
+#include "durability/segmented_record_log.h"
 
 namespace amnesia {
+
+/// \brief The journal's segment files: log-<base>.seg, magic "ASEG".
+/// Version 2 added the header's extension slot.
+inline constexpr SegmentFormat kJournalSegmentFormat{
+    "log-", 0x47455341, /*version=*/2};
 
 /// \brief Tuning for a SegmentedEventLog.
 struct SegmentedLogOptions {
   /// Roll to a fresh segment once the active file reaches this size.
   /// Smaller segments truncate at a finer grain but cost more files.
   uint64_t max_segment_bytes = 4u << 20;
-  /// When appended frames reach the page cache (shared with EventLog).
+  /// When appended frames reach the page cache.
   SyncPolicy sync;
-  /// Legacy single-file log to migrate on OpenForAppend ("" = none). The
-  /// file, when present, is authoritative: any segments already in the
-  /// directory are a crashed earlier migration and are re-split.
-  std::string migrate_from;
 };
 
-/// \brief Append-only event log striped across segment files. Implements
-/// the same EventLogBase surface as EventLog; see the file comment for
-/// the on-disk contract.
-class SegmentedEventLog : public EventLogBase {
+/// \brief The event journal: appends, explicit flush (group-commit
+/// barriers at batch/checkpoint boundaries), LSN accounting and prefix
+/// truncation. See the file comment for the on-disk contract.
+class SegmentedEventLog : public EventSink {
  public:
   /// Opens a fresh log in `dir` (created if missing); any segment files
-  /// from a previous instance are removed first, mirroring the truncate
-  /// semantics of EventLog::Open.
+  /// from a previous instance are removed first.
   static StatusOr<SegmentedEventLog> Open(
       const std::string& dir, const SegmentedLogOptions& options = {});
 
-  /// Re-opens an existing log for appending: runs the legacy migration if
-  /// configured, scans the segments, physically truncates a torn tail
-  /// (and unlinks segments past a mid-chain break) BEFORE new appends
-  /// land, and resumes in the newest segment. NotFound when the directory
-  /// holds no log and there is nothing to migrate.
+  /// Re-opens an existing log for appending: scans the segments,
+  /// physically truncates a torn tail (and unlinks segments past a
+  /// mid-chain break) BEFORE new appends land, and resumes in the newest
+  /// segment. NotFound when the directory holds no log.
   static StatusOr<SegmentedEventLog> OpenForAppend(
       const std::string& dir, const SegmentedLogOptions& options = {});
-
-  ~SegmentedEventLog() override;
-
-  SegmentedEventLog(SegmentedEventLog&& other) noexcept;
-  SegmentedEventLog& operator=(SegmentedEventLog&& other) noexcept;
-  SegmentedEventLog(const SegmentedEventLog&) = delete;
-  SegmentedEventLog& operator=(const SegmentedEventLog&) = delete;
 
   /// Appends one event to the active segment, rolling first when the
   /// size threshold is reached. Thread-safe; flushes per the sync policy.
   Status Append(const Event& event) override;
 
-  /// Flushes pending frames of the active segment to the page cache.
+  /// Pushes every appended frame to the page cache. Called at batch and
+  /// checkpoint boundaries under group commit.
   Status Flush() override;
 
-  /// Unlinks every sealed segment wholly below `lsn`. O(1) per segment,
-  /// concurrent with Append (appenders only wait for the index splice,
-  /// never for the unlinks; truncations serialize among themselves so
-  /// unlinks always proceed oldest-first), and conservative: a segment
-  /// containing `lsn` is kept whole. Rejects `lsn` beyond next_lsn().
-  Status TruncateBefore(uint64_t lsn) override;
+  /// Discards every event with LSN < `lsn` by unlinking the sealed
+  /// segments wholly below it (see SegmentedRecordLog::TruncateBefore).
+  /// Crash-atomic per segment, LSN-stable and concurrent with Append.
+  Status TruncateBefore(uint64_t lsn);
 
-  uint64_t next_lsn() const override;
-  uint64_t base_lsn() const override;
-
+  /// Returns the LSN the next event will get (== events ever appended).
+  uint64_t next_lsn() const;
+  /// Returns the LSN of the oldest retained event.
+  uint64_t base_lsn() const;
   /// Returns the number of live segment files (sealed + active).
   uint64_t num_segments() const;
   /// Returns how many segments TruncateBefore has unlinked in total.
   uint64_t segments_unlinked() const;
   /// Returns the directory the segments live in.
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return log_->dir(); }
 
  private:
-  SegmentedEventLog() = default;
+  SegmentedEventLog(std::unique_ptr<SegmentedRecordLog> log,
+                    const SyncPolicy& sync)
+      : log_(std::move(log)), sync_(sync) {}
 
-  /// Seals the active segment and opens a fresh one at next_lsn. Caller
-  /// holds mu_.
-  Status RollLocked();
-
-  struct Sealed {
-    uint64_t base = 0;   ///< LSN of the segment's first event.
-    uint64_t count = 0;  ///< Events it holds (end LSN = base + count).
-    std::string path;
-  };
-
-  mutable std::mutex mu_;
-  /// Serializes TruncateBefore calls end to end (including the unlinks
-  /// that run outside mu_): interleaved truncations could otherwise
-  /// unlink newer segments before older ones, and a crash in that window
-  /// would leave a base-LSN gap that recovery reads as the end of the
-  /// chain. Always acquired before mu_, never the other way.
-  std::mutex truncate_mu_;
-  std::string dir_;
-  SegmentedLogOptions options_;
-  std::deque<Sealed> sealed_;   ///< Oldest first; contiguous up to active.
-  uint64_t active_base_ = 0;    ///< LSN of the active segment's first event.
-  uint64_t active_count_ = 0;   ///< Events in the active segment.
-  uint64_t active_bytes_ = 0;   ///< Bytes written to the active segment.
-  std::string active_path_;
-  std::FILE* active_ = nullptr;
-  uint64_t unlinked_total_ = 0;
-  uint32_t pending_flush_ = 0;
+  std::unique_ptr<SegmentedRecordLog> log_;
+  SyncPolicy sync_;
+  // Group commit; guarded by log_->mutex().
+  uint32_t pending_flush_ = 0;  ///< Frames written since the last flush.
   std::chrono::steady_clock::time_point oldest_pending_;
+};
+
+/// \brief What ReadSegmentedLogContents returns: the retained events plus
+/// the LSN of the first. events[i] has LSN base_lsn + i.
+struct EventLogContents {
+  uint64_t base_lsn = 0;
+  std::vector<Event> events;
+
+  /// Returns the LSN one past the last retained event.
+  uint64_t next_lsn() const { return base_lsn + events.size(); }
 };
 
 /// \brief Reads the valid prefix of a segmented log directory (see the
 /// file comment for what ends the prefix). NotFound when `dir` does not
-/// exist or holds no segment with a valid header.
+/// exist or holds no segment with a valid header; InvalidArgument when it
+/// exists but is not a directory, or when its oldest segment is corrupt.
 StatusOr<EventLogContents> ReadSegmentedLogContents(const std::string& dir);
 
-/// \brief Format-agnostic read: a directory at `path` is read as a
-/// segmented log, anything else as a legacy single-file log. What
-/// Recover() uses so one code path serves both CheckpointerOptions
-/// log_format choices.
-StatusOr<EventLogContents> ReadAnyEventLogContents(const std::string& path);
-
 /// \brief The canonical event-log location under a checkpoint directory:
-/// `<dir>/events.log` (a file) for kSingleFile, `<dir>/events.segs` (a
-/// directory) for kSegmented. The one place the convention lives — the
+/// `<dir>/events.segs`. The one place the convention lives — the
 /// simulator, demo and benches all derive the path Recover() takes from
-/// here.
+/// here. `format` selects nothing: the segmented layout is the only one.
 std::string EventLogPathFor(const std::string& checkpoint_dir,
-                            LogFormat format);
-
-/// \brief Removes whatever event log lives at `path` — a legacy file or
-/// a segmented directory (its segment files, then the directory). A
-/// missing path is fine. A NEW database instance reusing a checkpoint
-/// directory calls this on the OTHER format's path: a stale journal left
-/// by a previous run under a different log_format would pair with the
-/// fresh manifests and corrupt recovery.
-Status RemoveEventLog(const std::string& path);
+                            LogFormat format = LogFormat::kSegmented);
 
 }  // namespace amnesia
 

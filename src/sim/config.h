@@ -88,13 +88,11 @@ struct SimulationConfig {
   /// checkpoints however long it runs. 0 keeps every checkpoint (the
   /// pre-retention behavior).
   uint32_t checkpoint_retention = 0;
-  /// Event-log layout. kSingleFile is the PR 3/4 rewrite-compacted file;
-  /// kSegmented stripes the log across fixed-size segment files so
-  /// retention truncation is O(1) unlinks instead of an O(retained
-  /// events) rewrite that blocks the journaling appenders.
-  LogFormat log_format = LogFormat::kSingleFile;
-  /// Segment roll threshold for kSegmented (ignored by kSingleFile).
-  /// Smaller segments let retention truncate at a finer grain; the CI
+  /// Selects nothing: the journal is always a segmented log (fixed-size
+  /// segment files, retention truncation by O(1) unlinks). Kept so
+  /// existing callers compile; the next benchmark change can drop it.
+  LogFormat log_format = LogFormat::kSegmented;
+  /// Journal segment roll threshold. Smaller segments let retention truncate at a finer grain; the CI
   /// smoke shrinks it so short runs still roll and unlink segments.
   uint64_t log_segment_bytes = 4u << 20;
   /// When journaled events are flushed to the page cache. The default is

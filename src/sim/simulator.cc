@@ -73,28 +73,14 @@ Status Simulator::Wire() {
     AMNESIA_RETURN_NOT_OK(EnsureDir(config_.checkpoint_dir));
     // A Simulator is a new database instance: stale manifests from a
     // previous run in this directory would pair with the fresh (truncated)
-    // event log and corrupt recovery, so clear them before journaling —
-    // including a journal the previous run wrote under the OTHER log
-    // format, which opening this run's log would never touch.
+    // event log and corrupt recovery, so clear them before journaling.
     AMNESIA_RETURN_NOT_OK(ClearCheckpointArtifacts(config_.checkpoint_dir));
-    AMNESIA_RETURN_NOT_OK(RemoveEventLog(EventLogPathFor(
-        config_.checkpoint_dir, config_.log_format == LogFormat::kSegmented
-                                    ? LogFormat::kSingleFile
-                                    : LogFormat::kSegmented)));
-    if (config_.log_format == LogFormat::kSegmented) {
-      SegmentedLogOptions sopts;
-      sopts.max_segment_bytes = config_.log_segment_bytes;
-      sopts.sync = config_.log_sync;
-      AMNESIA_ASSIGN_OR_RETURN(
-          SegmentedEventLog log,
-          SegmentedEventLog::Open(event_log_path(), sopts));
-      log_ = std::make_unique<SegmentedEventLog>(std::move(log));
-    } else {
-      AMNESIA_ASSIGN_OR_RETURN(EventLog log,
-                               EventLog::Open(event_log_path()));
-      log.set_sync_policy(config_.log_sync);
-      log_ = std::make_unique<EventLog>(std::move(log));
-    }
+    SegmentedLogOptions sopts;
+    sopts.max_segment_bytes = config_.log_segment_bytes;
+    sopts.sync = config_.log_sync;
+    AMNESIA_ASSIGN_OR_RETURN(SegmentedEventLog log,
+                             SegmentedEventLog::Open(event_log_path(), sopts));
+    log_ = std::make_unique<SegmentedEventLog>(std::move(log));
     controller_->set_event_sink(log_.get(), /*shard_id=*/0);
     if (config_.audit_ledger) {
       // Fresh instance, fresh chain: like the manifests above, a stale
@@ -111,7 +97,6 @@ Status Simulator::Wire() {
     copts2.dir = config_.checkpoint_dir;
     copts2.async = config_.checkpoint_async;
     copts2.retain = config_.checkpoint_retention;
-    copts2.log_format = config_.log_format;
     // The GC truncates the log below the oldest retained manifest; log_
     // is declared before checkpointer_, so it outlives the writer thread.
     copts2.log = log_.get();
@@ -212,7 +197,7 @@ Status Simulator::FlushLog() {
 
 std::string Simulator::event_log_path() const {
   return config_.checkpoint_every_n_batches > 0
-             ? EventLogPathFor(config_.checkpoint_dir, config_.log_format)
+             ? EventLogPathFor(config_.checkpoint_dir)
              : std::string();
 }
 

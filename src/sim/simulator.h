@@ -107,8 +107,8 @@ class Simulator {
   /// config.vacuum_max_age_batches > 0).
   const obs::SlaTracker& sla() const { return sla_; }
   /// Returns the event-log path derived from `config.checkpoint_dir` ("")
-  /// when durability is off) — what Recover() takes as `log_path`: a file
-  /// for LogFormat::kSingleFile, a segment directory for kSegmented.
+  /// when durability is off) — the segment directory Recover() takes as
+  /// `log_path`.
   std::string event_log_path() const;
   /// The live introspection server (null unless config.serve_port >= 0).
   const server::IntrospectionServer* introspection_server() const {

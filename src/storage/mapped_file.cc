@@ -109,9 +109,22 @@ Status FsyncDir(const std::string& dir) {
   return Status::OK();
 }
 
-Status EnsureDirExists(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  return ErrnoStatus("mkdir", dir);
+Status EnsureDir(const std::string& dir) {
+  struct stat st;
+  if (::stat(dir.c_str(), &st) == 0) {
+    if (S_ISDIR(st.st_mode)) return Status::OK();
+    return Status::InvalidArgument("'" + dir + "' exists but is not a "
+                                   "directory");
+  }
+  const size_t slash = dir.find_last_of('/');
+  if (slash != std::string::npos && slash > 0) {
+    AMNESIA_RETURN_NOT_OK(EnsureDir(dir.substr(0, slash)));
+  }
+  // EEXIST: a concurrent creator won the race (or `dir` ends in '/').
+  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    return ErrnoStatus("mkdir", dir);
+  }
+  return Status::OK();
 }
 
 StatusOr<std::vector<std::string>> ListDirEntries(const std::string& dir) {

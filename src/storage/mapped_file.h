@@ -56,8 +56,9 @@ bool ParsePartitionDirName(const std::string& name, Tick* epoch_lo,
 /// fsyncs a directory so a just-created/renamed/unlinked entry is durable.
 Status FsyncDir(const std::string& dir);
 
-/// Creates `dir` if missing (single level) and returns OK if it exists.
-Status EnsureDirExists(const std::string& dir);
+/// Creates `dir` and any missing parents. InvalidArgument when `dir` (or
+/// a parent) exists but is not a directory.
+Status EnsureDir(const std::string& dir);
 
 /// Removes a directory and the regular files directly inside it.
 /// Missing directory is OK (idempotent cleanup).

@@ -52,7 +52,7 @@ StatusOr<Table> Table::Make(Schema schema, StorageOptions storage) {
     return Status::InvalidArgument("mapped storage needs a directory");
   }
   storage.partition_rows = NormalizePartitionRows(storage.partition_rows);
-  AMNESIA_RETURN_NOT_OK(EnsureDirExists(storage.dir));
+  AMNESIA_RETURN_NOT_OK(EnsureDir(storage.dir));
   Table table(std::move(schema));
   table.storage_ = std::move(storage);
   for (auto& col : table.columns_) {
@@ -175,7 +175,7 @@ Status Table::SealTailPartition() {
   const Tick lo = insert_tick_[begin];
   const Tick hi = insert_tick_[begin + storage_.partition_rows - 1];
   const std::string dir = storage_.dir + "/" + PartitionDirName(lo, hi);
-  AMNESIA_RETURN_NOT_OK(EnsureDirExists(dir));
+  AMNESIA_RETURN_NOT_OK(EnsureDir(dir));
   for (size_t c = 0; c < columns_.size(); ++c) {
     AMNESIA_RETURN_NOT_OK(columns_[c].SealTail(
         dir + "/" + PartitionColumnFileName(schema_.column(c).name), lo, hi));

@@ -2,8 +2,9 @@
 //
 // Tests for the forgetting audit ledger: record codec round-trips, hash
 // chaining across appends and segment rolls, torn-tail repair after a
-// simulated kill -9, tamper detection (a CRC-valid record that does not
-// chain), retention truncation that keeps the surviving chain verifiable,
+// simulated kill -9 (a torn frame, or a torn header in a freshly rolled
+// segment), tamper detection (a CRC-valid record that does not chain),
+// retention truncation that keeps the surviving chain verifiable,
 // and the end-to-end totals contract against durability recovery: the
 // replayed state's lifetime forget total equals the ledger's claims
 // exactly at a batch boundary, and can only exceed them (never trail)
@@ -20,8 +21,8 @@
 #include "amnesia/fifo.h"
 #include "common/rng.h"
 #include "durability/checkpointer.h"
-#include "durability/event_log.h"
 #include "durability/frame_io.h"
+#include "durability/log_segments.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/table.h"
@@ -225,6 +226,48 @@ TEST(AuditLedgerTest, TornTailIsRepairedNotReported) {
   EXPECT_EQ(after.records, 4u);
 }
 
+TEST(AuditLedgerTest, TornHeaderAfterRollResumesFromLastSealedRecord) {
+  ScratchDir dir("amnesia_audit_torn_header_test");
+  AuditLedgerOptions opts;
+  opts.max_segment_bytes = 1;  // every append after the first rolls
+  uint32_t head = 0;
+  uint64_t next = 0;
+  {
+    AuditLedger ledger = AuditLedger::Open(dir.path(), opts).value();
+    for (uint64_t i = 0; i < 4; ++i) {
+      AuditRecord r = SampleRecord(i + 1);
+      ASSERT_TRUE(ledger.Append(&r).ok());
+    }
+    head = ledger.chain_crc();
+    next = ledger.next_seq();
+  }
+  // kill -9 inside the next roll: its segment file exists, the header
+  // (which would carry `head` as the chain seed) only half written.
+  {
+    std::ofstream f(dir.file("audit-" + std::to_string(next) + ".seg"),
+                    std::ios::binary);
+    const char torn[] = {0x41, 0x4C, 0x45, 0x44, 0x01, 0x00};
+    f.write(torn, sizeof(torn));
+  }
+  // A torn header is a crash artifact, not a break.
+  const AuditChainReport before = VerifyAuditChain(dir.path()).value();
+  EXPECT_TRUE(before.ok) << before.detail;
+  EXPECT_EQ(before.records, 4u);
+  EXPECT_EQ(before.chain_crc, head);
+
+  // Resuming picks up the chain at the last sealed record.
+  AuditLedger resumed = AuditLedger::OpenForAppend(dir.path(), opts).value();
+  EXPECT_EQ(resumed.next_seq(), next);
+  EXPECT_EQ(resumed.chain_crc(), head);
+  AuditRecord r = SampleRecord(9);
+  ASSERT_TRUE(resumed.Append(&r).ok());
+  EXPECT_EQ(r.prev_crc, head);
+  const AuditChainReport after = VerifyAuditChain(dir.path()).value();
+  EXPECT_TRUE(after.ok) << after.detail;
+  EXPECT_EQ(after.records, 5u);
+  EXPECT_EQ(after.chain_crc, resumed.chain_crc());
+}
+
 TEST(AuditLedgerTest, TamperedRecordBreaksChain) {
   ScratchDir dir("amnesia_audit_tamper_test");
   {
@@ -318,7 +361,8 @@ TEST(AuditLedgerTest, TruncateBeforeKeepsVerifiableSuffix) {
 
 TEST(AuditLedgerTest, LedgerTotalsMatchRecoveredStateExactly) {
   ScratchDir dir("amnesia_audit_totals_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log =
+      SegmentedEventLog::Open(EventLogPathFor(dir.path())).value();
   Table table = Table::Make(Schema::SingleColumn("v", 0, 1'000'000)).value();
   Rng rng(17);
   for (int i = 0; i < 100; ++i) {
@@ -368,7 +412,7 @@ TEST(AuditLedgerTest, LedgerTotalsMatchRecoveredStateExactly) {
   // Batch boundary: every sweep journaled AND attested. The ledger's
   // claims must equal the replayed reality bit-for-bit.
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), EventLogPathFor(dir.path())).value();
   ASSERT_EQ(state.shards.size(), 1u);
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
 
@@ -395,7 +439,8 @@ TEST(AuditLedgerTest, CrashBetweenFlushAndAppendUnderClaims) {
   // ledger record off mid-frame: recovery replays MORE forgets than the
   // surviving ledger claims — "replayed >= attested", never the reverse.
   ScratchDir dir("amnesia_audit_underclaim_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log =
+      SegmentedEventLog::Open(EventLogPathFor(dir.path())).value();
   Table table = Table::Make(Schema::SingleColumn("v", 0, 1'000'000)).value();
   Rng rng(23);
   for (int i = 0; i < 80; ++i) {
@@ -426,7 +471,7 @@ TEST(AuditLedgerTest, CrashBetweenFlushAndAppendUnderClaims) {
   fs::resize_file(seg, fs::file_size(seg) - 5);
 
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), EventLogPathFor(dir.path())).value();
   ASSERT_EQ(state.shards.size(), 1u);
   EXPECT_EQ(state.shards[0].lifetime_forgotten(), table.lifetime_forgotten());
 

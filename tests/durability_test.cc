@@ -1,16 +1,17 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Tests for the async durability subsystem: thread-pool task futures,
-// versioned snapshots (epoch skip + copy-on-write tails), the event log
-// (framing, torn tails, replay), the background checkpointer (manifest
-// commit, incremental shard skip, recovery fallback) and end-to-end
-// simulator crash recovery.
+// versioned snapshots (epoch skip + copy-on-write tails), the event
+// journal (codec, torn tails, replay), the background checkpointer
+// (manifest commit, incremental shard skip, recovery fallback) and
+// end-to-end simulator crash recovery.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -22,7 +23,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "durability/checkpointer.h"
-#include "durability/event_log.h"
+#include "durability/log_segments.h"
 #include "durability/snapshot.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
@@ -46,9 +47,37 @@ class ScratchDir {
   std::string file(const std::string& name) const {
     return path_ + "/" + name;
   }
+  /// The journal location under this directory (EventLogPathFor).
+  std::string log() const { return EventLogPathFor(path_); }
 
  private:
   std::string path_;
+};
+
+/// A fresh journal in `dir` (one 4 MiB segment holds every test's events).
+SegmentedEventLog OpenLog(const ScratchDir& dir) {
+  return SegmentedEventLog::Open(dir.log()).value();
+}
+
+/// The valid events of the journal in `dir`.
+std::vector<Event> ReadLog(const ScratchDir& dir) {
+  return ReadSegmentedLogContents(dir.log()).value().events;
+}
+
+/// In-memory sink that records every event, for replay tests that need no
+/// file. Thread-safe: shard-parallel forget passes append concurrently.
+class RecordingSink : public EventSink {
+ public:
+  Status Append(const Event& event) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back(event);
+    return Status::OK();
+  }
+  const std::vector<Event>& events() const { return events_; }
+
+ private:
+  std::mutex mu_;
+  std::vector<Event> events_;
 };
 
 /// Manifest entry for a vector (blob-self-contained) shard; the mapped
@@ -272,7 +301,7 @@ TEST(EventLogTest, RejectsGarbagePayload) {
 
 TEST(EventLogTest, FileRoundTripAndLsn) {
   ScratchDir dir("amnesia_eventlog_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log = OpenLog(dir);
   EXPECT_EQ(log.next_lsn(), 0u);
   Event e;
   e.kind = EventKind::kForget;
@@ -282,8 +311,7 @@ TEST(EventLogTest, FileRoundTripAndLsn) {
   ASSERT_TRUE(log.Append(e).ok());
   EXPECT_EQ(log.next_lsn(), 2u);
 
-  const std::vector<Event> read =
-      ReadEventLogFile(dir.file("events.log")).value();
+  const std::vector<Event> read = ReadLog(dir);
   ASSERT_EQ(read.size(), 2u);
   EXPECT_EQ(read[0].kind, EventKind::kForget);
   EXPECT_EQ(read[0].row, 12u);
@@ -293,7 +321,7 @@ TEST(EventLogTest, FileRoundTripAndLsn) {
 TEST(EventLogTest, TornTailIsDropped) {
   ScratchDir dir("amnesia_eventlog_torn_test");
   {
-    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    SegmentedEventLog log = OpenLog(dir);
     Event e;
     e.kind = EventKind::kForget;
     for (RowId r = 0; r < 10; ++r) {
@@ -302,11 +330,10 @@ TEST(EventLogTest, TornTailIsDropped) {
     }
   }
   // Tear mid-record: drop the last 3 bytes.
-  const auto size = fs::file_size(dir.file("events.log"));
-  fs::resize_file(dir.file("events.log"), size - 3);
+  const std::string segment = dir.log() + "/log-0.seg";
+  fs::resize_file(segment, fs::file_size(segment) - 3);
 
-  const std::vector<Event> read =
-      ReadEventLogFile(dir.file("events.log")).value();
+  const std::vector<Event> read = ReadLog(dir);
   EXPECT_EQ(read.size(), 9u);  // the torn final record is gone
   for (RowId r = 0; r < read.size(); ++r) EXPECT_EQ(read[r].row, r);
 }
@@ -314,7 +341,7 @@ TEST(EventLogTest, TornTailIsDropped) {
 TEST(EventLogTest, OpenForAppendContinuesPastTornTail) {
   ScratchDir dir("amnesia_eventlog_reopen_test");
   {
-    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    SegmentedEventLog log = OpenLog(dir);
     Event e;
     e.kind = EventKind::kForget;
     e.row = 1;
@@ -322,17 +349,17 @@ TEST(EventLogTest, OpenForAppendContinuesPastTornTail) {
     e.row = 2;
     ASSERT_TRUE(log.Append(e).ok());
   }
-  fs::resize_file(dir.file("events.log"),
-                  fs::file_size(dir.file("events.log")) - 1);
+  const std::string segment = dir.log() + "/log-0.seg";
+  fs::resize_file(segment, fs::file_size(segment) - 1);
 
-  EventLog log = EventLog::OpenForAppend(dir.file("events.log")).value();
+  SegmentedEventLog log =
+      SegmentedEventLog::OpenForAppend(dir.log()).value();
   EXPECT_EQ(log.next_lsn(), 1u);
   Event e;
   e.kind = EventKind::kForget;
   e.row = 3;
   ASSERT_TRUE(log.Append(e).ok());
-  const std::vector<Event> read =
-      ReadEventLogFile(dir.file("events.log")).value();
+  const std::vector<Event> read = ReadLog(dir);
   ASSERT_EQ(read.size(), 2u);
   EXPECT_EQ(read[1].row, 3u);
 }
@@ -341,7 +368,7 @@ TEST(EventLogTest, OpenForAppendContinuesPastTornTail) {
 
 /// Scripted sharded workload with every event journaled; returns the log
 /// and the final table so replay can be checked byte-for-byte.
-void RunJournaledWorkload(BackendKind backend, EventLog* log,
+void RunJournaledWorkload(BackendKind backend, EventSink* log,
                           ShardedTable* table) {
   ShardedControllerOptions sopts;
   sopts.dbsize_budget = 600;
@@ -377,7 +404,7 @@ void RunJournaledWorkload(BackendKind backend, EventLog* log,
 TEST(ReplayTest, RebuildsShardedTableBitIdentically) {
   for (const BackendKind backend :
        {BackendKind::kMarkOnly, BackendKind::kDelete}) {
-    EventLog log;  // memory-only
+    RecordingSink log;
     ShardedTable table =
         ShardedTable::Make(Schema::SingleColumn("v", 0, 10000), 4).value();
     RunJournaledWorkload(backend, &log, &table);
@@ -401,7 +428,7 @@ TEST(ReplayTest, RebuildsShardedTableBitIdentically) {
 TEST(ReplayTest, ForgetEventsRefillTierSinks) {
   // Forget into a summary tier through the unsharded controller, then
   // replay the log into a fresh tier and expect identical cells.
-  EventLog log;
+  RecordingSink log;
   Table table = MakeLoadedTable(100, 17);
   SummaryStore summaries;
   FifoPolicy policy;
@@ -469,7 +496,7 @@ TEST(CheckpointerTest, AsyncRoundTripWithIncrementalSkip) {
 
 TEST(CheckpointerTest, RecoverReplaysLogTail) {
   ScratchDir dir("amnesia_ckpt_replay_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log = OpenLog(dir);
   Table table = MakeLoadedTable(100, 31);
 
   CheckpointerOptions opts;
@@ -490,7 +517,7 @@ TEST(CheckpointerTest, RecoverReplaysLogTail) {
   ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
 
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), dir.log()).value();
   EXPECT_GT(state.events_replayed, 0u);
   ASSERT_EQ(state.shards.size(), 1u);
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
@@ -498,7 +525,7 @@ TEST(CheckpointerTest, RecoverReplaysLogTail) {
 
 TEST(CheckpointerTest, TruncatedManifestFallsBackToOlderCheckpoint) {
   ScratchDir dir("amnesia_ckpt_truncated_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log = OpenLog(dir);
   Table table = MakeLoadedTable(50, 41);
 
   CheckpointerOptions opts;
@@ -521,7 +548,7 @@ TEST(CheckpointerTest, TruncatedManifestFallsBackToOlderCheckpoint) {
   fs::resize_file(dir.file("MANIFEST-2"),
                   fs::file_size(dir.file("MANIFEST-2")) / 2);
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), dir.log()).value();
   EXPECT_EQ(state.checkpoint_id, 1u);
   EXPECT_EQ(state.events_replayed, 1u);
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
@@ -585,12 +612,28 @@ TEST(CheckpointerTest, ShortLogFailsManifestInsteadOfSilentLoss) {
   BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
   ASSERT_TRUE(ckpt.Checkpoint(table, /*covered_lsn=*/5).ok());
   {
-    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    SegmentedEventLog log = OpenLog(dir);
     Event e;
     e.kind = EventKind::kCompact;
     ASSERT_TRUE(log.Append(e).ok());  // 1 event < covered_lsn 5
   }
-  EXPECT_FALSE(Recover(dir.path(), dir.file("events.log")).ok());
+  EXPECT_FALSE(Recover(dir.path(), dir.log()).ok());
+}
+
+TEST(CheckpointerTest, NonDirectoryLogIsRejectedNotIgnored) {
+  // A file where the journal directory should be (say, a log from an
+  // older layout) must fail recovery; replaying nothing without saying so
+  // would silently drop every event after the snapshot.
+  ScratchDir dir("amnesia_ckpt_file_log_test");
+  Table table = MakeLoadedTable(30, 55);
+  CheckpointerOptions opts;
+  opts.dir = dir.path();
+  opts.async = false;
+  BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+  ASSERT_TRUE(ckpt.Checkpoint(table, /*covered_lsn=*/0).ok());
+  { std::ofstream f(dir.log()); f << "not a segment directory"; }
+  EXPECT_EQ(Recover(dir.path(), dir.log()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ReplayTest, MismatchedLogSurfacesStatusNotCrash) {
@@ -662,9 +705,21 @@ TEST(ManifestTest, CodecRejectsTruncation) {
   std::vector<uint8_t> corrupt = bytes;
   corrupt[10] ^= 0x55;
   EXPECT_FALSE(DecodeManifest(corrupt).ok());
+
+  // Any other layout version — checksum intact — is refused, not guessed.
+  for (const uint32_t version : {1u, 2u, 4u}) {
+    std::vector<uint8_t> other(bytes.begin(), bytes.end() - 4);
+    std::memcpy(other.data() + 4, &version, sizeof(version));
+    const uint32_t crc = ckpt::Crc32(other);
+    other.resize(other.size() + sizeof(crc));
+    std::memcpy(other.data() + other.size() - sizeof(crc), &crc, sizeof(crc));
+    EXPECT_EQ(DecodeManifest(other).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "version " << version;
+  }
 }
 
-// ----------------------------------------------- event-log truncation (v2)
+// ------------------------------------------------- journal crash + resume
 
 Event ForgetEvent(RowId row, BackendKind backend = BackendKind::kMarkOnly) {
   Event e;
@@ -673,102 +728,6 @@ Event ForgetEvent(RowId row, BackendKind backend = BackendKind::kMarkOnly) {
   e.backend = static_cast<uint8_t>(backend);
   e.payload_col = 0;
   return e;
-}
-
-TEST(EventLogTruncateTest, DropsPrefixAndKeepsLsnsStable) {
-  ScratchDir dir("amnesia_eventlog_truncate_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
-  for (RowId r = 0; r < 10; ++r) ASSERT_TRUE(log.Append(ForgetEvent(r)).ok());
-
-  ASSERT_TRUE(log.TruncateBefore(4).ok());
-  EXPECT_EQ(log.base_lsn(), 4u);
-  EXPECT_EQ(log.next_lsn(), 10u);  // LSNs are stable across truncation
-  ASSERT_EQ(log.events().size(), 6u);
-  EXPECT_EQ(log.events()[0].row, 4u);
-
-  // Appends continue in the rewritten file at the old LSN sequence.
-  ASSERT_TRUE(log.Append(ForgetEvent(10)).ok());
-  EXPECT_EQ(log.next_lsn(), 11u);
-
-  const EventLogContents contents =
-      ReadEventLogContents(dir.file("events.log")).value();
-  EXPECT_EQ(contents.base_lsn, 4u);
-  ASSERT_EQ(contents.events.size(), 7u);
-  EXPECT_EQ(contents.events.front().row, 4u);
-  EXPECT_EQ(contents.events.back().row, 10u);
-  EXPECT_EQ(contents.next_lsn(), 11u);
-}
-
-TEST(EventLogTruncateTest, MemoryOnlyAndEdgeCases) {
-  EventLog log;  // memory-only
-  for (RowId r = 0; r < 6; ++r) ASSERT_TRUE(log.Append(ForgetEvent(r)).ok());
-  ASSERT_TRUE(log.TruncateBefore(3).ok());
-  EXPECT_EQ(log.base_lsn(), 3u);
-  EXPECT_EQ(log.next_lsn(), 6u);
-  // Truncating below the base is a no-op, not a rewind.
-  ASSERT_TRUE(log.TruncateBefore(1).ok());
-  EXPECT_EQ(log.base_lsn(), 3u);
-  // Truncating to exactly next_lsn drops everything retained.
-  ASSERT_TRUE(log.TruncateBefore(6).ok());
-  EXPECT_EQ(log.events().size(), 0u);
-  EXPECT_EQ(log.next_lsn(), 6u);
-  // Beyond next_lsn is a caller bug.
-  EXPECT_EQ(log.TruncateBefore(7).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EventLogTruncateTest, OpenForAppendPreservesBaseAndDropsTornTail) {
-  ScratchDir dir("amnesia_eventlog_truncate_reopen_test");
-  {
-    EventLog log = EventLog::Open(dir.file("events.log")).value();
-    for (RowId r = 0; r < 8; ++r) {
-      ASSERT_TRUE(log.Append(ForgetEvent(r)).ok());
-    }
-    ASSERT_TRUE(log.TruncateBefore(5).ok());
-  }
-  // Tear the final frame, as a crash mid-append would.
-  fs::resize_file(dir.file("events.log"),
-                  fs::file_size(dir.file("events.log")) - 2);
-
-  EventLog log = EventLog::OpenForAppend(dir.file("events.log")).value();
-  EXPECT_EQ(log.base_lsn(), 5u);
-  EXPECT_EQ(log.next_lsn(), 7u);  // row-7 frame was torn off
-  ASSERT_TRUE(log.Append(ForgetEvent(9)).ok());
-
-  const EventLogContents contents =
-      ReadEventLogContents(dir.file("events.log")).value();
-  EXPECT_EQ(contents.base_lsn, 5u);
-  ASSERT_EQ(contents.events.size(), 3u);
-  EXPECT_EQ(contents.events[0].row, 5u);
-  EXPECT_EQ(contents.events[2].row, 9u);
-}
-
-TEST(EventLogTruncateTest, SafeAgainstConcurrentAppends) {
-  ScratchDir dir("amnesia_eventlog_truncate_race_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
-  constexpr RowId kAppends = 400;
-
-  std::thread appender([&log] {
-    for (RowId r = 0; r < kAppends; ++r) {
-      ASSERT_TRUE(log.Append(ForgetEvent(r)).ok());
-    }
-  });
-  // Truncate repeatedly while the appender runs; every point is at or
-  // below the LSNs appended so far, so no request can outrun the log.
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(log.TruncateBefore(log.next_lsn() / 2).ok());
-  }
-  appender.join();
-
-  // Whatever survived is a gapless LSN-ordered suffix, identical in
-  // memory and on disk.
-  const EventLogContents contents =
-      ReadEventLogContents(dir.file("events.log")).value();
-  EXPECT_EQ(contents.base_lsn, log.base_lsn());
-  EXPECT_EQ(contents.next_lsn(), kAppends);
-  ASSERT_EQ(contents.events.size(), log.events().size());
-  for (size_t i = 0; i < contents.events.size(); ++i) {
-    EXPECT_EQ(contents.events[i].row, contents.base_lsn + i);
-  }
 }
 
 TEST(EventLogTruncateTest, CrashThenAppendThenRecover) {
@@ -782,17 +741,18 @@ TEST(EventLogTruncateTest, CrashThenAppendThenRecover) {
   BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
   ASSERT_TRUE(ckpt.Checkpoint(table, /*covered_lsn=*/0).ok());
   {
-    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    SegmentedEventLog log = OpenLog(dir);
     ASSERT_TRUE(log.Append(ForgetEvent(0)).ok());
     ASSERT_TRUE(log.Append(ForgetEvent(1)).ok());
   }
   // Crash tears the forget-1 frame: the log only proves forget 0.
-  fs::resize_file(dir.file("events.log"),
-                  fs::file_size(dir.file("events.log")) - 3);
+  const std::string segment = dir.log() + "/log-0.seg";
+  fs::resize_file(segment, fs::file_size(segment) - 3);
 
   // The recovering process reopens for append and keeps going.
   {
-    EventLog log = EventLog::OpenForAppend(dir.file("events.log")).value();
+    SegmentedEventLog log =
+        SegmentedEventLog::OpenForAppend(dir.log()).value();
     EXPECT_EQ(log.next_lsn(), 1u);
     ASSERT_TRUE(log.Append(ForgetEvent(2)).ok());
   }
@@ -802,12 +762,12 @@ TEST(EventLogTruncateTest, CrashThenAppendThenRecover) {
   ASSERT_TRUE(expected.Forget(0).ok());
   ASSERT_TRUE(expected.Forget(2).ok());
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), dir.log()).value();
   EXPECT_EQ(state.events_replayed, 2u);
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(expected));
 }
 
-// ------------------------------------------------------- manifest v2 tiers
+// ---------------------------------------------------------- manifest tiers
 
 TEST(ManifestTest, V2RoundTripsTierEntries) {
   Manifest manifest;
@@ -834,69 +794,12 @@ TEST(ManifestTest, V2RoundTripsTierEntries) {
   }
 }
 
-/// Writes a version-1 manifest (the PR 3 on-disk format: no tier section)
-/// with the codec a PR 3 binary used.
-std::vector<uint8_t> EncodeManifestV1(const Manifest& manifest) {
-  std::vector<uint8_t> out;
-  ckpt::Writer w(&out);
-  w.U32(0x414D4D46);  // kManifestMagic
-  w.U32(1);           // version 1
-  w.U64(manifest.id);
-  w.U64(manifest.covered_lsn);
-  w.U64(manifest.ingest_cursor);
-  w.U64(manifest.shards.size());
-  for (const ManifestShard& shard : manifest.shards) {
-    w.U64(shard.epoch);
-    w.String(shard.filename);
-    w.U64(shard.size);
-    w.U32(shard.crc32);
-  }
-  w.U32(ckpt::Crc32(out));
-  return out;
-}
-
-TEST(ManifestTest, V1DirectoryStillRecovers) {
-  // A checkpoint directory whose newest manifest is v1 (written by a
-  // PR 3 binary) must recover exactly as before: same shards, no tiers.
-  ScratchDir dir("amnesia_manifest_v1_compat_test");
-  Table table = MakeLoadedTable(60, 83);
-  CheckpointerOptions opts;
-  opts.dir = dir.path();
-  opts.async = false;
-  BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
-  ASSERT_TRUE(ckpt.Checkpoint(table, /*covered_lsn=*/0).ok());
-
-  // Re-point the directory at a hand-written v1 manifest referencing the
-  // same shard blob.
-  const std::vector<uint8_t> blob =
-      ReadBytesFile(dir.file("ckpt-1-shard-0.blob")).value();
-  Manifest v1;
-  v1.id = 2;
-  v1.covered_lsn = 0;
-  v1.ingest_cursor = table.lifetime_inserted();
-  v1.shards.push_back(VectorShard(SnapshotManager::EpochOf(table),
-                                  "ckpt-1-shard-0.blob", blob.size(),
-                                  ckpt::Crc32(blob)));
-  ASSERT_TRUE(
-      WriteBytesFileAtomic(EncodeManifestV1(v1), dir.file("MANIFEST-2")).ok());
-  const std::string current = "MANIFEST-2";
-  ASSERT_TRUE(WriteBytesFileAtomic(
-                  std::vector<uint8_t>(current.begin(), current.end()),
-                  dir.file("CURRENT"))
-                  .ok());
-
-  RecoveredState state = Recover(dir.path(), "").value();
-  EXPECT_EQ(state.checkpoint_id, 2u);
-  EXPECT_FALSE(state.cold.has_value());
-  EXPECT_FALSE(state.summaries.has_value());
-  EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
-}
-
 /// Forgets `row` through `backend` exactly as AmnesiaController::ForgetOne
 /// would — tier re-route, table flip, journaled event — so replay has a
 /// faithful trace covering BOTH tiers in one log.
 void JournalForget(RowId row, BackendKind backend, Table* table,
-                   ColdStore* cold, SummaryStore* summaries, EventLog* log) {
+                   ColdStore* cold, SummaryStore* summaries,
+                   SegmentedEventLog* log) {
   if (backend == BackendKind::kColdStorage) {
     cold->Put(ColdTuple{row, table->value(0, row), table->insert_tick(row),
                         table->batch_of(row)});
@@ -909,7 +812,7 @@ void JournalForget(RowId row, BackendKind backend, Table* table,
 
 TEST(CheckpointerTest, TiersCommitAndRecoverWithTheTable) {
   ScratchDir dir("amnesia_ckpt_tier_roundtrip_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log = OpenLog(dir);
   Table table = MakeLoadedTable(100, 91);
   ColdStore cold;
   SummaryStore summaries;
@@ -939,7 +842,7 @@ TEST(CheckpointerTest, TiersCommitAndRecoverWithTheTable) {
   // One Recover() restores table, cold store and summary store together,
   // re-routing the tail's forget events into the restored tiers.
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), dir.log()).value();
   EXPECT_GT(state.events_replayed, 0u);
   ASSERT_TRUE(state.cold.has_value());
   ASSERT_TRUE(state.summaries.has_value());
@@ -986,7 +889,7 @@ TEST(CheckpointerTest, TierSkipCacheDoesNotOutliveUntieredCheckpoints) {
   // manifest 3 reference the deleted file and leave the directory
   // unrecoverable; the cache must be dropped with the tier.
   ScratchDir dir("amnesia_ckpt_tier_cache_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log = OpenLog(dir);
   Table table = MakeLoadedTable(50, 99);
   ColdStore cold;
   cold.Put(ColdTuple{0, 7, 0, 0});
@@ -1050,7 +953,12 @@ void ExpectNoOrphanBlobs(const std::string& dir) {
 
 TEST(RetentionTest, GcBoundsManifestsBlobsAndLog) {
   ScratchDir dir("amnesia_retention_gc_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  // One event per segment, so whole-segment truncation lands exactly on
+  // the covered LSN.
+  SegmentedLogOptions one_event_segments;
+  one_event_segments.max_segment_bytes = 1;
+  SegmentedEventLog log =
+      SegmentedEventLog::Open(dir.log(), one_event_segments).value();
   Table table = MakeLoadedTable(300, 71);
   ColdStore cold;
   SummaryStore summaries;
@@ -1084,7 +992,7 @@ TEST(RetentionTest, GcBoundsManifestsBlobsAndLog) {
   const Manifest oldest =
       DecodeManifest(ReadBytesFile(dir.file("MANIFEST-5")).value()).value();
   const EventLogContents contents =
-      ReadEventLogContents(dir.file("events.log")).value();
+      ReadSegmentedLogContents(dir.log()).value();
   EXPECT_EQ(contents.base_lsn, oldest.covered_lsn);
   EXPECT_EQ(contents.next_lsn(), log.next_lsn());
   EXPECT_EQ(ckpt.stats().manifests_gced, 4u);
@@ -1092,7 +1000,7 @@ TEST(RetentionTest, GcBoundsManifestsBlobsAndLog) {
 
   // The bounded directory still recovers the full state bit-identically.
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), dir.log()).value();
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
   EXPECT_EQ(CheckpointColdStore(*state.cold), CheckpointColdStore(cold));
   EXPECT_EQ(CheckpointSummaryStore(*state.summaries),
@@ -1104,7 +1012,7 @@ TEST(RetentionTest, FallbackManifestSurvivesGcWindow) {
   // retained manifest + the log suffix able to reach the same state —
   // retention may never truncate the log past what fallback needs.
   ScratchDir dir("amnesia_retention_fallback_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log = OpenLog(dir);
   Table table = MakeLoadedTable(120, 97);
   ColdStore cold;
   SummaryStore summaries;
@@ -1129,7 +1037,7 @@ TEST(RetentionTest, FallbackManifestSurvivesGcWindow) {
   fs::resize_file(dir.file("MANIFEST-4"),
                   fs::file_size(dir.file("MANIFEST-4")) / 2);
   RecoveredState state =
-      Recover(dir.path(), dir.file("events.log")).value();
+      Recover(dir.path(), dir.log()).value();
   EXPECT_EQ(state.checkpoint_id, 3u);
   EXPECT_GT(state.events_replayed, 0u);
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
@@ -1144,7 +1052,7 @@ TEST(RetentionTest, CrashPointMatrixRecoversBitIdentically) {
   for (const char* phase :
        {"shard-blobs", "tier-blobs", "manifest", "current", "gc"}) {
     ScratchDir dir(std::string("amnesia_crashpoint_") + phase + "_test");
-    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    SegmentedEventLog log = OpenLog(dir);
     Table table = MakeLoadedTable(200, 73);
     ColdStore cold;
     SummaryStore summaries;
@@ -1178,7 +1086,7 @@ TEST(RetentionTest, CrashPointMatrixRecoversBitIdentically) {
     }
 
     RecoveredState state =
-        Recover(dir.path(), dir.file("events.log")).value();
+        Recover(dir.path(), dir.log()).value();
     ASSERT_EQ(state.shards.size(), 1u);
     ASSERT_TRUE(state.cold.has_value());
     ASSERT_TRUE(state.summaries.has_value());
@@ -1195,7 +1103,7 @@ TEST(RetentionTest, CrashPointMatrixRecoversBitIdentically) {
 TEST(RetentionTest, MappedCrashPointMatrixRecoversBitIdentically) {
   // The same kill-between-every-commit-step matrix over a mapped table:
   // the commit now writes a v2 blob (tail + partition metadata only) and
-  // a v3 manifest naming the live partition directories, and recovery
+  // a manifest naming the live partition directories, and recovery
   // re-maps the partition files instead of deserializing payloads. Every
   // crash point must still recover the exact live state, including the
   // deferred-unlink drop that happened mid-run.
@@ -1203,7 +1111,7 @@ TEST(RetentionTest, MappedCrashPointMatrixRecoversBitIdentically) {
        {"shard-blobs", "tier-blobs", "manifest", "current", "gc"}) {
     ScratchDir dir(std::string("amnesia_mapped_crashpoint_") + phase +
                    "_test");
-    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    SegmentedEventLog log = OpenLog(dir);
     StorageOptions storage;
     storage.backend = StorageBackend::kMapped;
     storage.dir = dir.file("storage");
@@ -1260,7 +1168,7 @@ TEST(RetentionTest, MappedCrashPointMatrixRecoversBitIdentically) {
     ASSERT_TRUE(log.Flush().ok());
 
     RecoveredState state =
-        Recover(dir.path(), dir.file("events.log")).value();
+        Recover(dir.path(), dir.log()).value();
     ASSERT_EQ(state.shards.size(), 1u);
     ASSERT_TRUE(state.shards[0].mapped());
     ASSERT_TRUE(state.cold.has_value());
@@ -1348,7 +1256,7 @@ TEST(SimulatorDurabilityTest, CrashRecoveryIsBitIdentical) {
     }
 
     RecoveredState state =
-        Recover(dir.path(), dir.path() + "/events.log").value();
+        Recover(dir.path(), dir.log()).value();
     EXPECT_GT(state.events_replayed, 0u);
     ASSERT_EQ(state.shards.size(), 1u);
 
@@ -1395,6 +1303,7 @@ TEST(SimulatorDurabilityTest, TieredCrashRecoveryWithRetention) {
     config.backend = backend;
     config.checkpoint_every_n_batches = 2;
     config.checkpoint_retention = 2;
+    config.log_segment_bytes = 1u << 10;  // retention unlinks segments
     {
       auto sim = Simulator::Make(config).value();
       ASSERT_TRUE(sim->Initialize().ok());
@@ -1402,7 +1311,7 @@ TEST(SimulatorDurabilityTest, TieredCrashRecoveryWithRetention) {
     }
 
     RecoveredState state =
-        Recover(dir.path(), dir.path() + "/events.log").value();
+        Recover(dir.path(), dir.log()).value();
     ASSERT_TRUE(state.cold.has_value());
     ASSERT_TRUE(state.summaries.has_value());
 
@@ -1430,9 +1339,12 @@ TEST(SimulatorDurabilityTest, TieredCrashRecoveryWithRetention) {
             ReadBytesFile(dir.path() + "/MANIFEST-" + std::to_string(ids[0]))
                 .value())
             .value();
+    // Truncation unlinks whole segments: the log starts at or below the
+    // oldest retained coverage, past the events retention discarded.
     const EventLogContents contents =
-        ReadEventLogContents(dir.path() + "/events.log").value();
-    EXPECT_EQ(contents.base_lsn, oldest.covered_lsn);
+        ReadSegmentedLogContents(dir.log()).value();
+    EXPECT_LE(contents.base_lsn, oldest.covered_lsn);
+    EXPECT_GT(contents.base_lsn, 0u);
   }
 }
 
@@ -1456,12 +1368,12 @@ TEST(SimulatorDurabilityTest, ReusedDirDropsStaleManifests) {
   // must be NO manifest (NotFound), never a stale one.
   SimulationConfig config = DurableSimConfig(dir.path(), false);
   auto sim = Simulator::Make(config).value();
-  EXPECT_EQ(Recover(dir.path(), dir.path() + "/events.log").status().code(),
+  EXPECT_EQ(Recover(dir.path(), dir.log()).status().code(),
             StatusCode::kNotFound);
   ASSERT_TRUE(sim->Initialize().ok());  // baseline checkpoint commits
   ASSERT_TRUE(sim->StepBatch().ok());
   RecoveredState state =
-      Recover(dir.path(), dir.path() + "/events.log").value();
+      Recover(dir.path(), dir.log()).value();
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(sim->table()));
 }
 

@@ -18,7 +18,7 @@
 #include "amnesia/sharded_controller.h"
 #include "common/rng.h"
 #include "durability/checkpointer.h"
-#include "durability/event_log.h"
+#include "durability/log_segments.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"
@@ -335,7 +335,8 @@ TEST(MappedRecoveryTest, CrashAfterRenameBeforeJournalRestoresIntact) {
 
 TEST(MappedRecoveryTest, JournaledDropReplaysOnRecovery) {
   ScratchDir dir("amnesia_mapped_dropreplay_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log =
+      SegmentedEventLog::Open(dir.file("events.segs")).value();
   Table table = MakeLoadedMappedTable(dir.file("storage"), 200, 53);
   for (uint64_t b = 0; b < 6; ++b) table.BeginBatch();
 
@@ -365,7 +366,7 @@ TEST(MappedRecoveryTest, JournaledDropReplaysOnRecovery) {
   EXPECT_TRUE(fs::exists(dir.file("storage/part-0-63.dropped")));
 
   RecoveredState state =
-      Recover(dir.file("ckpt"), dir.file("events.log")).value();
+      Recover(dir.file("ckpt"), dir.file("events.segs")).value();
   ASSERT_EQ(state.shards.size(), 1u);
   EXPECT_GT(state.events_replayed, 0u);
   EXPECT_EQ(state.shards[0].num_active(), 0u);
@@ -398,7 +399,8 @@ TEST(MappedRecoveryTest, RetentionGcUnlinksDroppedPartitions) {
   // Once no retained manifest lists a partition as live, the retention GC
   // removes its `.dropped` directory — the deferred half of the drop.
   ScratchDir dir("amnesia_mapped_gc_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  SegmentedEventLog log =
+      SegmentedEventLog::Open(dir.file("events.segs")).value();
   Table table = MakeLoadedMappedTable(dir.file("storage"), 200, 61);
   for (uint64_t b = 0; b < 6; ++b) table.BeginBatch();
 
@@ -427,7 +429,7 @@ TEST(MappedRecoveryTest, RetentionGcUnlinksDroppedPartitions) {
   EXPECT_GT(ckpt.stats().partition_dirs_gced, 0u);
   // The recovered state still matches the live table.
   RecoveredState state =
-      Recover(dir.file("ckpt"), dir.file("events.log")).value();
+      Recover(dir.file("ckpt"), dir.file("events.segs")).value();
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
 }
 

@@ -1,26 +1,34 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Tests for the segmented event log (durability/log_segments): segment
-// roll + round-trip bit-identical to the rewrite-based EventLog, O(1)
-// whole-segment truncation, recovery from a torn tail / a crash between
-// segment roll and old-segment unlink / a corrupt middle segment, the
-// one-time v1 single-file migration, group-commit sync policies, and the
-// checkpointer crash-point matrix with log_format = segmented.
+// Tests for the segmented record log (durability/segmented_record_log)
+// and the event journal on top of it (durability/log_segments). The
+// segment-level crash cases — torn tail, corrupt middle segment, crash
+// between roll and unlink, a torn header in a freshly rolled segment, a
+// threshold below the header size, truncation racing appends — run once
+// per client format (the journal's and the audit ledger's). The journal
+// cases cover the event round trip, O(1) whole-segment truncation, group
+// commit, and the checkpointer crash-point matrix over the journal.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "amnesia/audit_ledger.h"
 #include "common/rng.h"
 #include "durability/checkpointer.h"
-#include "durability/event_log.h"
 #include "durability/log_segments.h"
+#include "durability/segmented_record_log.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 
@@ -95,8 +103,7 @@ std::vector<Event> MixedEvents(size_t n, uint64_t seed = 5) {
   return events;
 }
 
-/// Events compare by their canonical encoding — what "bit-identical to
-/// the rewrite-based log" means at the record level.
+/// Events compare by their canonical encoding.
 void ExpectSameEvents(const std::vector<Event>& got,
                       const std::vector<Event>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -111,27 +118,322 @@ SegmentedLogOptions SmallSegments(uint64_t bytes = 256) {
   return options;
 }
 
-std::vector<std::string> SegmentFilesIn(const std::string& dir) {
-  std::vector<std::string> names;
+/// The segment files of `dir` as full paths, oldest (lowest base) first.
+std::vector<std::string> SegmentsByBase(const std::string& dir,
+                                        const SegmentFormat& format) {
+  std::vector<std::pair<uint64_t, std::string>> found;
+  const size_t prefix_len = std::strlen(format.prefix);
   for (const auto& entry : fs::directory_iterator(dir)) {
-    names.push_back(entry.path().filename().string());
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(format.prefix, 0) != 0) continue;
+    found.emplace_back(std::stoull(name.substr(prefix_len)),
+                       entry.path().string());
   }
-  std::sort(names.begin(), names.end());
-  return names;
+  std::sort(found.begin(), found.end());
+  std::vector<std::string> paths;
+  for (const auto& f : found) paths.push_back(f.second);
+  return paths;
 }
 
-TEST(SegmentedLogTest, RollsSegmentsAndMatchesRewriteLogBitForBit) {
+uint64_t BaseOf(const std::string& path, const SegmentFormat& format) {
+  const std::string name = fs::path(path).filename().string();
+  return std::stoull(name.substr(std::strlen(format.prefix)));
+}
+
+// ------------------------------------------ segment crash cases, per client
+
+/// One client's segment settings: its file format and the header
+/// extension it writes (the ledger seeds its hash chain there).
+struct SegmentClient {
+  const char* name;
+  SegmentFormat format;
+  uint32_t extension;
+};
+
+void PrintTo(const SegmentClient& client, std::ostream* os) {
+  *os << client.name;
+}
+
+/// Drives SegmentedRecordLog directly with 16-byte records
+/// [u64 seq][u64 seq * 7], each segment's header extension set to
+/// `extension + base`; the scan visitor checks both, like a real client.
+class SegmentedRecordLogTest : public ::testing::TestWithParam<SegmentClient> {
+ protected:
+  void SetUp() override {
+    scratch_ = std::make_unique<ScratchDir>(
+        std::string("amnesia_record_log_") + GetParam().name + "_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = scratch_->file("segs");
+  }
+
+  const SegmentFormat& format() const { return GetParam().format; }
+  uint32_t ExtensionAt(uint64_t base) const {
+    return GetParam().extension + static_cast<uint32_t>(base);
+  }
+
+  static std::vector<uint8_t> Record(uint64_t seq) {
+    std::vector<uint8_t> out(16);
+    const uint64_t check = seq * 7;
+    std::memcpy(out.data(), &seq, 8);
+    std::memcpy(out.data() + 8, &check, 8);
+    return out;
+  }
+
+  std::unique_ptr<SegmentedRecordLog> Open(uint64_t max_bytes = 256) {
+    return SegmentedRecordLog::Open(dir_, format(), max_bytes,
+                                    ExtensionAt(0))
+        .value();
+  }
+
+  std::unique_ptr<SegmentedRecordLog> Resume(uint64_t max_bytes = 256) {
+    return SegmentedRecordLog::OpenForAppend(dir_, format(), max_bytes,
+                                             Visitor(nullptr))
+        .value();
+  }
+
+  void Append(SegmentedRecordLog* log, uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      std::lock_guard<std::mutex> lock(log->mutex());
+      const uint64_t seq = log->next_seq_locked();
+      ASSERT_TRUE(log->AppendLocked(Record(seq), ExtensionAt(seq)).ok());
+      ASSERT_TRUE(log->FlushLocked().ok());
+    }
+  }
+
+  /// Checks every segment's extension and every record's content against
+  /// its position; collects the adopted seqs into `seqs` when given.
+  SegmentVisitor Visitor(std::vector<uint64_t>* seqs) {
+    SegmentVisitor visitor;
+    visitor.segment = [this](const ScannedSegment& segment) {
+      if (segment.extension != ExtensionAt(segment.base)) {
+        return Status::InvalidArgument("wrong header extension");
+      }
+      return Status::OK();
+    };
+    visitor.record = [seqs](uint64_t seq,
+                            const std::vector<uint8_t>& payload) {
+      if (payload != Record(seq)) {
+        return Status::InvalidArgument("record out of place");
+      }
+      if (seqs != nullptr) seqs->push_back(seq);
+      return Status::OK();
+    };
+    return visitor;
+  }
+
+  SegmentScan Scan(std::vector<uint64_t>* seqs = nullptr) {
+    return ScanSegments(dir_, format(), Visitor(seqs)).value();
+  }
+
+  std::vector<std::string> Segments() const {
+    return SegmentsByBase(dir_, format());
+  }
+
+  std::unique_ptr<ScratchDir> scratch_;
+  std::string dir_;
+};
+
+/// Asserts `seqs` is exactly [begin, end).
+void ExpectSeqRange(const std::vector<uint64_t>& seqs, uint64_t begin,
+                    uint64_t end) {
+  ASSERT_EQ(seqs.size(), end - begin);
+  for (uint64_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], begin + i);
+}
+
+TEST_P(SegmentedRecordLogTest, TornTailIsDroppedAndRepaired) {
+  {
+    auto log = Open();
+    Append(log.get(), 60);
+    EXPECT_GT(log->num_segments(), 3u);
+  }
+  // A frame torn mid-write at the end of the newest segment.
+  const std::string newest = Segments().back();
+  fs::resize_file(newest, fs::file_size(newest) - 5);
+  {
+    std::ofstream torn(newest, std::ios::binary | std::ios::app);
+    torn.write("\xff\xff\xff", 3);
+  }
+
+  std::vector<uint64_t> seqs;
+  const SegmentScan scan = Scan(&seqs);
+  EXPECT_EQ(scan.end, SegmentScan::Break::kTornTail) << scan.detail;
+  const uint64_t valid = scan.next_seq();
+  EXPECT_LT(valid, 60u);
+  EXPECT_GT(valid, 0u);
+  ExpectSeqRange(seqs, 0, valid);
+
+  // OpenForAppend physically truncates the tear, then appends land where
+  // a reader can see them.
+  auto log = Resume();
+  EXPECT_EQ(log->next_seq(), valid);
+  Append(log.get(), 1);
+  seqs.clear();
+  const SegmentScan after = Scan(&seqs);
+  EXPECT_EQ(after.end, SegmentScan::Break::kNone) << after.detail;
+  ExpectSeqRange(seqs, 0, valid + 1);
+}
+
+TEST_P(SegmentedRecordLogTest, CorruptMiddleSegmentStopsAtLastValidFrame) {
+  {
+    auto log = Open();
+    Append(log.get(), 100);
+  }
+  const std::vector<std::string> segs = Segments();
+  ASSERT_GT(segs.size(), 3u);
+  // Flip a byte in the middle of the second segment's frames.
+  {
+    std::fstream f(segs[1], std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(fs::file_size(segs[1]) / 2));
+    f.put('\x5a');
+  }
+
+  // The prefix ends inside the corrupt segment: everything before it is
+  // intact, nothing from the segments past it survives (their seqs would
+  // have a gap). A sealed segment is fsynced, so this is bad content.
+  std::vector<uint64_t> seqs;
+  const SegmentScan scan = Scan(&seqs);
+  EXPECT_EQ(scan.end, SegmentScan::Break::kBadContent);
+  EXPECT_GE(scan.next_seq(), BaseOf(segs[1], format()));
+  EXPECT_LT(scan.next_seq(), BaseOf(segs[2], format()));
+  ExpectSeqRange(seqs, 0, scan.next_seq());
+  EXPECT_EQ(scan.orphans.size(), segs.size() - 2);
+
+  // OpenForAppend repairs to exactly that prefix (truncates the corrupt
+  // segment, unlinks the unreachable ones) and resumes.
+  const uint64_t valid = scan.next_seq();
+  auto log = Resume();
+  EXPECT_EQ(log->next_seq(), valid);
+  EXPECT_EQ(Segments().size(), 2u);
+  Append(log.get(), 1);
+  EXPECT_EQ(Scan().next_seq(), valid + 1);
+}
+
+TEST_P(SegmentedRecordLogTest, CrashBetweenRollAndUnlinkRecovers) {
+  {
+    auto log = Open();
+    Append(log.get(), 100);
+  }
+  // The crash window: appenders rolled past the covered seq but the
+  // truncation never ran. Every segment is still on disk and reads whole.
+  std::vector<uint64_t> seqs;
+  const SegmentScan all = Scan(&seqs);
+  EXPECT_EQ(all.end, SegmentScan::Break::kNone);
+  ExpectSeqRange(seqs, 0, 100);
+
+  // Deeper window: the truncation unlinked SOME doomed segments (oldest
+  // first) and died. The remaining chain is a contiguous suffix.
+  const std::vector<std::string> segs = Segments();
+  ASSERT_GT(segs.size(), 3u);
+  ASSERT_EQ(std::remove(segs.front().c_str()), 0);
+  const uint64_t second_base = BaseOf(segs[1], format());
+  seqs.clear();
+  const SegmentScan suffix = Scan(&seqs);
+  EXPECT_EQ(suffix.end, SegmentScan::Break::kNone);
+  EXPECT_EQ(suffix.base_seq(), second_base);
+  ExpectSeqRange(seqs, second_base, 100);
+
+  // A resumed process finishes the interrupted truncation.
+  auto log = Resume();
+  EXPECT_EQ(log->base_seq(), second_base);
+  ASSERT_TRUE(log->TruncateBefore(100).ok());
+  EXPECT_GT(log->base_seq(), second_base);  // the stale prefix is gone
+  EXPECT_EQ(log->num_segments(), 1u);       // only the active segment left
+  EXPECT_EQ(log->next_seq(), 100u);
+}
+
+TEST_P(SegmentedRecordLogTest, TornHeaderInFreshlyRolledSegmentIsATornTail) {
+  uint64_t sealed_end = 0;
+  {
+    auto log = Open();
+    Append(log.get(), 30);
+    sealed_end = log->next_seq();
+  }
+  // Killed inside a roll: the next segment's file exists, its header only
+  // half written. Every record is in the sealed segments before it.
+  const std::string rolled = dir_ + "/" + format().prefix +
+                             std::to_string(sealed_end) + ".seg";
+  {
+    std::ofstream torn(rolled, std::ios::binary);
+    torn.write("\x41\x53\x45", 3);
+  }
+  std::vector<uint64_t> seqs;
+  const SegmentScan scan = Scan(&seqs);
+  EXPECT_EQ(scan.end, SegmentScan::Break::kTornTail) << scan.detail;
+  ASSERT_EQ(scan.orphans.size(), 1u);
+  EXPECT_EQ(scan.orphans[0], rolled);
+  ExpectSeqRange(seqs, 0, sealed_end);
+
+  // Resuming drops the torn file, reopens the last sealed segment, and
+  // the next roll recreates the segment under the same name.
+  auto log = Resume();
+  EXPECT_EQ(log->next_seq(), sealed_end);
+  Append(log.get(), 20);
+  seqs.clear();
+  const SegmentScan after = Scan(&seqs);
+  EXPECT_EQ(after.end, SegmentScan::Break::kNone) << after.detail;
+  ExpectSeqRange(seqs, 0, sealed_end + 20);
+
+  // An unreadable header anywhere but the chain's next position is not a
+  // crash artifact.
+  const std::string stray = dir_ + "/" + format().prefix +
+                            std::to_string(sealed_end + 1000) + ".seg";
+  { std::ofstream junk(stray, std::ios::binary); }
+  EXPECT_EQ(Scan().end, SegmentScan::Break::kBadContent);
+}
+
+TEST_P(SegmentedRecordLogTest, ThresholdBelowHeaderSizeNeverSealsEmptySegments) {
+  // A roll threshold below the header size must degrade to one-record
+  // segments. The regression: an empty roll would seal a zero-record
+  // entry aliasing the active file's path, and truncating at that seq
+  // would unlink the live segment out from under the appender.
+  auto log = Open(/*max_bytes=*/1);
+  Append(log.get(), 3);
+  EXPECT_EQ(log->num_segments(), 3u);
+  EXPECT_EQ(log->TruncateBefore(1).value(), 1u);
+  EXPECT_EQ(log->segments_unlinked(), 1u);
+  Append(log.get(), 1);
+  std::vector<uint64_t> seqs;
+  const SegmentScan scan = Scan(&seqs);
+  EXPECT_EQ(scan.base_seq(), 1u);
+  ExpectSeqRange(seqs, 1, 4);
+}
+
+TEST_P(SegmentedRecordLogTest, TruncationIsConcurrentWithAppends) {
+  // Truncation never blocks appenders for more than the index splice.
+  // Racing the two must still leave a gapless seq-ordered suffix — the
+  // TSan job runs this for the memory side of the claim.
+  auto log = Open(/*max_bytes=*/512);
+  constexpr uint64_t kAppends = 400;
+  std::thread appender([this, &log] { Append(log.get(), kAppends); });
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(log->TruncateBefore(log->next_seq() / 2).ok());
+  }
+  appender.join();
+
+  std::vector<uint64_t> seqs;
+  const SegmentScan scan = Scan(&seqs);
+  EXPECT_EQ(scan.end, SegmentScan::Break::kNone);
+  EXPECT_EQ(scan.base_seq(), log->base_seq());
+  ExpectSeqRange(seqs, scan.base_seq(), kAppends);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Clients, SegmentedRecordLogTest,
+    ::testing::Values(SegmentClient{"journal", kJournalSegmentFormat, 0},
+                      SegmentClient{"ledger", kAuditSegmentFormat,
+                                    0x5EED0000u}),
+    [](const ::testing::TestParamInfo<SegmentClient>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------- event journal
+
+TEST(SegmentedLogTest, RollsSegmentsAndRoundTripsEvents) {
   ScratchDir dir("amnesia_seglog_roundtrip_test");
   const std::vector<Event> events = MixedEvents(120);
-
-  // The same stream through both formats.
   SegmentedEventLog seg =
       SegmentedEventLog::Open(dir.file("segs"), SmallSegments()).value();
-  EventLog rewrite = EventLog::Open(dir.file("events.log")).value();
-  for (const Event& e : events) {
-    ASSERT_TRUE(seg.Append(e).ok());
-    ASSERT_TRUE(rewrite.Append(e).ok());
-  }
+  for (const Event& e : events) ASSERT_TRUE(seg.Append(e).ok());
   ASSERT_TRUE(seg.Flush().ok());
   EXPECT_EQ(seg.next_lsn(), events.size());
   EXPECT_EQ(seg.base_lsn(), 0u);
@@ -139,18 +441,19 @@ TEST(SegmentedLogTest, RollsSegmentsAndMatchesRewriteLogBitForBit) {
 
   const EventLogContents from_segs =
       ReadSegmentedLogContents(dir.file("segs")).value();
-  const EventLogContents from_file =
-      ReadEventLogContents(dir.file("events.log")).value();
-  EXPECT_EQ(from_segs.base_lsn, from_file.base_lsn);
-  ExpectSameEvents(from_segs.events, from_file.events);
+  EXPECT_EQ(from_segs.base_lsn, 0u);
   ExpectSameEvents(from_segs.events, events);
+}
 
-  // ReadAnyEventLogContents dispatches on what is at the path.
-  EXPECT_EQ(ReadAnyEventLogContents(dir.file("segs")).value().events.size(),
-            events.size());
-  EXPECT_EQ(
-      ReadAnyEventLogContents(dir.file("events.log")).value().events.size(),
-      events.size());
+TEST(SegmentedLogTest, ReadRejectsAPathThatIsNotADirectory) {
+  // Recover() reads the journal through this: a regular file where the
+  // segment directory should be must surface, never read as "no log".
+  ScratchDir dir("amnesia_seglog_not_a_dir_test");
+  { std::ofstream f(dir.file("events.segs")); f << "not a log"; }
+  EXPECT_EQ(ReadSegmentedLogContents(dir.file("events.segs")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadSegmentedLogContents(dir.file("missing")).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(SegmentedLogTest, TruncateUnlinksWholeSegmentsAndKeepsLsnsStable) {
@@ -181,232 +484,17 @@ TEST(SegmentedLogTest, TruncateUnlinksWholeSegmentsAndKeepsLsnsStable) {
                        events.begin() + static_cast<long>(contents.base_lsn),
                        events.end()));
 
+  // Truncating below the base is a no-op, not a rewind.
+  const uint64_t base = log.base_lsn();
+  ASSERT_TRUE(log.TruncateBefore(1).ok());
+  EXPECT_EQ(log.base_lsn(), base);
+
   // Truncating everything leaves just the active segment; appends resume.
   ASSERT_TRUE(log.TruncateBefore(log.next_lsn()).ok());
   EXPECT_FALSE(log.TruncateBefore(log.next_lsn() + 1).ok());  // beyond end
   ASSERT_TRUE(log.Append(ForgetEvent(7)).ok());
   ASSERT_TRUE(log.Flush().ok());
   EXPECT_EQ(log.next_lsn(), events.size() + 1);
-}
-
-TEST(SegmentedLogTest, TornTailInNewestSegmentIsDroppedAndRepaired) {
-  ScratchDir dir("amnesia_seglog_torn_test");
-  const std::vector<Event> events = MixedEvents(60);
-  {
-    SegmentedEventLog log =
-        SegmentedEventLog::Open(dir.file("segs"), SmallSegments()).value();
-    for (const Event& e : events) ASSERT_TRUE(log.Append(e).ok());
-    ASSERT_TRUE(log.Flush().ok());
-  }
-
-  // Tear the newest segment: chop bytes off its end, then append garbage
-  // (a frame torn mid-write followed by nothing valid).
-  std::vector<std::string> segs;
-  for (const auto& entry : fs::directory_iterator(dir.file("segs"))) {
-    segs.push_back(entry.path().string());
-  }
-  std::sort(segs.begin(), segs.end(),
-            [](const std::string& a, const std::string& b) {
-              return std::stoull(a.substr(a.rfind("log-") + 4)) <
-                     std::stoull(b.substr(b.rfind("log-") + 4));
-            });
-  const std::string newest = segs.back();
-  fs::resize_file(newest, fs::file_size(newest) - 5);
-  {
-    std::ofstream torn(newest, std::ios::binary | std::ios::app);
-    torn.write("\xff\xff\xff", 3);
-  }
-
-  const EventLogContents contents =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  EXPECT_LT(contents.events.size(), events.size());
-  EXPECT_GT(contents.events.size(), 0u);
-  ExpectSameEvents(
-      contents.events,
-      std::vector<Event>(events.begin(),
-                         events.begin() +
-                             static_cast<long>(contents.events.size())));
-
-  // OpenForAppend physically truncates the tear, then appends land where
-  // a reader can see them.
-  const uint64_t valid = contents.events.size();
-  SegmentedEventLog log =
-      SegmentedEventLog::OpenForAppend(dir.file("segs"), SmallSegments())
-          .value();
-  EXPECT_EQ(log.next_lsn(), valid);
-  ASSERT_TRUE(log.Append(ForgetEvent(123)).ok());
-  ASSERT_TRUE(log.Flush().ok());
-  const EventLogContents after =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  EXPECT_EQ(after.events.size(), valid + 1);
-  EXPECT_EQ(EncodeEvent(after.events.back()),
-            EncodeEvent(ForgetEvent(123)));
-}
-
-TEST(SegmentedLogTest, CrashBetweenRollAndUnlinkRecovers) {
-  ScratchDir dir("amnesia_seglog_roll_unlink_test");
-  const std::vector<Event> events = MixedEvents(100);
-  {
-    SegmentedEventLog log =
-        SegmentedEventLog::Open(dir.file("segs"), SmallSegments()).value();
-    for (const Event& e : events) ASSERT_TRUE(log.Append(e).ok());
-    ASSERT_TRUE(log.Flush().ok());
-  }
-  // The crash window: appenders rolled past the covered LSN but the
-  // truncation never ran (killed between a checkpoint's GC deletions and
-  // TruncateBefore). Every segment is still on disk — recovery must read
-  // them all and replay from the covered LSN as usual.
-  const EventLogContents all =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  EXPECT_EQ(all.base_lsn, 0u);
-  EXPECT_EQ(all.events.size(), events.size());
-
-  // Deeper window: the truncation unlinked SOME doomed segments (oldest
-  // first) and died. Simulate by unlinking exactly the oldest segment;
-  // the remaining chain is a contiguous suffix.
-  std::vector<std::string> segs = SegmentFilesIn(dir.file("segs"));
-  std::sort(segs.begin(), segs.end(),
-            [](const std::string& a, const std::string& b) {
-              return std::stoull(a.substr(4)) < std::stoull(b.substr(4));
-            });
-  ASSERT_GT(segs.size(), 3u);
-  ASSERT_EQ(std::remove(
-                (dir.file("segs") + "/" + segs.front()).c_str()),
-            0);
-  const uint64_t second_base = std::stoull(segs[1].substr(4));
-
-  const EventLogContents suffix =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  EXPECT_EQ(suffix.base_lsn, second_base);
-  EXPECT_EQ(suffix.next_lsn(), events.size());
-  ExpectSameEvents(suffix.events,
-                   std::vector<Event>(
-                       events.begin() + static_cast<long>(second_base),
-                       events.end()));
-
-  // A resumed process finishes the interrupted truncation.
-  SegmentedEventLog log =
-      SegmentedEventLog::OpenForAppend(dir.file("segs"), SmallSegments())
-          .value();
-  EXPECT_EQ(log.base_lsn(), second_base);
-  ASSERT_TRUE(log.TruncateBefore(events.size()).ok());
-  EXPECT_GT(log.base_lsn(), second_base);  // the stale prefix is gone
-  EXPECT_EQ(log.num_segments(), 1u);       // only the active segment left
-  EXPECT_EQ(log.next_lsn(), events.size());
-}
-
-TEST(SegmentedLogTest, CorruptMiddleSegmentStopsAtLastValidFrame) {
-  ScratchDir dir("amnesia_seglog_corrupt_middle_test");
-  const std::vector<Event> events = MixedEvents(100);
-  {
-    SegmentedEventLog log =
-        SegmentedEventLog::Open(dir.file("segs"), SmallSegments()).value();
-    for (const Event& e : events) ASSERT_TRUE(log.Append(e).ok());
-    ASSERT_TRUE(log.Flush().ok());
-  }
-  std::vector<std::string> segs = SegmentFilesIn(dir.file("segs"));
-  std::sort(segs.begin(), segs.end(),
-            [](const std::string& a, const std::string& b) {
-              return std::stoull(a.substr(4)) < std::stoull(b.substr(4));
-            });
-  ASSERT_GT(segs.size(), 3u);
-
-  // Flip a byte in the middle of the second segment's frames.
-  const std::string victim = dir.file("segs") + "/" + segs[1];
-  {
-    std::fstream f(victim,
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(victim) / 2));
-    f.put('\x5a');
-  }
-
-  const EventLogContents contents =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  const uint64_t second_base = std::stoull(segs[1].substr(4));
-  const uint64_t third_base = std::stoull(segs[2].substr(4));
-  // The prefix ends inside the corrupt segment: everything before it is
-  // intact, nothing from the segments past it survives (their LSNs would
-  // have a gap).
-  EXPECT_GE(contents.events.size(), second_base);
-  EXPECT_LT(contents.events.size(), third_base);
-  ExpectSameEvents(
-      contents.events,
-      std::vector<Event>(events.begin(),
-                         events.begin() +
-                             static_cast<long>(contents.events.size())));
-
-  // OpenForAppend repairs to exactly that prefix (truncates the corrupt
-  // segment, unlinks the unreachable ones) and resumes.
-  const uint64_t valid = contents.events.size();
-  SegmentedEventLog log =
-      SegmentedEventLog::OpenForAppend(dir.file("segs"), SmallSegments())
-          .value();
-  EXPECT_EQ(log.next_lsn(), valid);
-  ASSERT_TRUE(log.Append(ForgetEvent(9)).ok());
-  ASSERT_TRUE(log.Flush().ok());
-  EXPECT_EQ(ReadSegmentedLogContents(dir.file("segs")).value().next_lsn(),
-            valid + 1);
-}
-
-TEST(SegmentedLogTest, MigratesLegacySingleFileLog) {
-  ScratchDir dir("amnesia_seglog_migration_test");
-  const std::vector<Event> events = MixedEvents(80);
-  // A v1 log that has also been truncated (base > 0): the marker frame's
-  // base LSN must survive the split.
-  {
-    EventLog legacy = EventLog::Open(dir.file("events.log")).value();
-    for (const Event& e : events) ASSERT_TRUE(legacy.Append(e).ok());
-    ASSERT_TRUE(legacy.TruncateBefore(17).ok());
-  }
-
-  SegmentedLogOptions options = SmallSegments();
-  options.migrate_from = dir.file("events.log");
-  {
-    SegmentedEventLog log =
-        SegmentedEventLog::OpenForAppend(dir.file("segs"), options).value();
-    EXPECT_EQ(log.base_lsn(), 17u);
-    EXPECT_EQ(log.next_lsn(), events.size());
-    EXPECT_GT(log.num_segments(), 1u);
-    ASSERT_TRUE(log.Append(ForgetEvent(321)).ok());
-    ASSERT_TRUE(log.Flush().ok());
-  }
-  // The commit point: the v1 file is gone, the segments are authoritative.
-  EXPECT_FALSE(fs::exists(dir.file("events.log")));
-
-  const EventLogContents contents =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  EXPECT_EQ(contents.base_lsn, 17u);
-  EXPECT_EQ(contents.next_lsn(), events.size() + 1);
-  std::vector<Event> want(events.begin() + 17, events.end());
-  want.push_back(ForgetEvent(321));
-  ExpectSameEvents(contents.events, want);
-
-  // Re-opening (no legacy file anymore) is the plain resume path.
-  SegmentedEventLog again =
-      SegmentedEventLog::OpenForAppend(dir.file("segs"), options).value();
-  EXPECT_EQ(again.base_lsn(), 17u);
-  EXPECT_EQ(again.next_lsn(), events.size() + 1);
-}
-
-TEST(SegmentedLogTest, MigrationTerminatesBelowHeaderSizedThreshold) {
-  // A roll threshold smaller than the segment header must degrade to
-  // one-event segments, not spin forever re-creating an empty segment.
-  ScratchDir dir("amnesia_seglog_tiny_migration_test");
-  {
-    EventLog legacy = EventLog::Open(dir.file("events.log")).value();
-    for (RowId r = 0; r < 5; ++r) {
-      ASSERT_TRUE(legacy.Append(ForgetEvent(r)).ok());
-    }
-  }
-  SegmentedLogOptions options = SmallSegments(/*bytes=*/1);
-  options.migrate_from = dir.file("events.log");
-  SegmentedEventLog log =
-      SegmentedEventLog::OpenForAppend(dir.file("segs"), options).value();
-  EXPECT_EQ(log.next_lsn(), 5u);
-  EXPECT_EQ(log.num_segments(), 5u);  // one event per segment
-  ExpectSameEvents(ReadSegmentedLogContents(dir.file("segs")).value().events,
-                   {ForgetEvent(0), ForgetEvent(1), ForgetEvent(2),
-                    ForgetEvent(3), ForgetEvent(4)});
 }
 
 TEST(SegmentedLogTest, GroupCommitBatchesFlushes) {
@@ -430,79 +518,17 @@ TEST(SegmentedLogTest, GroupCommitBatchesFlushes) {
   ASSERT_TRUE(log.Flush().ok());
   EXPECT_EQ(ReadSegmentedLogContents(dir.file("segs")).value().events.size(),
             10u);
-}
 
-TEST(SegmentedLogTest, ThresholdBelowHeaderSizeNeverSealsEmptySegments) {
-  // A roll threshold below the header size must degrade to one-event
-  // segments. The regression: an empty roll would seal a zero-event
-  // entry aliasing the active file's path, and truncating at that LSN
-  // would unlink the live segment out from under the appender.
-  ScratchDir dir("amnesia_seglog_tiny_threshold_test");
-  SegmentedEventLog log =
-      SegmentedEventLog::Open(dir.file("segs"), SmallSegments(1)).value();
-  for (RowId r = 0; r < 3; ++r) {
-    ASSERT_TRUE(log.Append(ForgetEvent(r)).ok());
-  }
-  ASSERT_TRUE(log.Flush().ok());
-  EXPECT_EQ(log.num_segments(), 3u);
-  ASSERT_TRUE(log.TruncateBefore(1).ok());
-  EXPECT_EQ(log.segments_unlinked(), 1u);
-  ASSERT_TRUE(log.Append(ForgetEvent(3)).ok());
-  ASSERT_TRUE(log.Flush().ok());
-  const EventLogContents contents =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  EXPECT_EQ(contents.base_lsn, 1u);
-  ExpectSameEvents(contents.events,
-                   {ForgetEvent(1), ForgetEvent(2), ForgetEvent(3)});
-}
-
-TEST(SegmentedLogTest, TruncationIsConcurrentWithAppends) {
-  // The design claim: truncation never blocks appenders for more than
-  // the index splice. Functionally, racing the two must still leave a
-  // gapless LSN-ordered suffix — the TSan job runs this for the memory
-  // side of the claim.
-  ScratchDir dir("amnesia_seglog_truncate_race_test");
-  SegmentedEventLog log =
-      SegmentedEventLog::Open(dir.file("segs"), SmallSegments(512)).value();
-  constexpr RowId kAppends = 400;
-
-  std::thread appender([&log] {
-    for (RowId r = 0; r < kAppends; ++r) {
-      ASSERT_TRUE(log.Append(ForgetEvent(r)).ok());
-    }
-  });
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(log.TruncateBefore(log.next_lsn() / 2).ok());
-  }
-  appender.join();
-  ASSERT_TRUE(log.Flush().ok());
-
-  const EventLogContents contents =
-      ReadSegmentedLogContents(dir.file("segs")).value();
-  EXPECT_EQ(contents.base_lsn, log.base_lsn());
-  EXPECT_EQ(contents.next_lsn(), kAppends);
-  for (size_t i = 0; i < contents.events.size(); ++i) {
-    EXPECT_EQ(contents.events[i].row, contents.base_lsn + i);
-  }
-}
-
-TEST(EventLogTest, GroupCommitOnLegacyLog) {
-  ScratchDir dir("amnesia_eventlog_group_commit_test");
-  EventLog log = EventLog::Open(dir.file("events.log")).value();
-  log.set_sync_policy(SyncPolicy::GroupCommit(1000, 0.0));
-  for (RowId r = 0; r < 10; ++r) {
-    ASSERT_TRUE(log.Append(ForgetEvent(r)).ok());
-  }
-  EXPECT_EQ(log.next_lsn(), 10u);
-  EXPECT_EQ(ReadEventLogFile(dir.file("events.log")).value().size(), 0u);
-  ASSERT_TRUE(log.Flush().ok());
-  EXPECT_EQ(ReadEventLogFile(dir.file("events.log")).value().size(), 10u);
   // The count trigger flushes without an explicit barrier.
-  log.set_sync_policy(SyncPolicy::GroupCommit(5, 0.0));
+  options.sync = SyncPolicy::GroupCommit(/*events=*/5, /*interval_ms=*/0.0);
+  SegmentedEventLog counted =
+      SegmentedEventLog::Open(dir.file("counted"), options).value();
   for (RowId r = 0; r < 5; ++r) {
-    ASSERT_TRUE(log.Append(ForgetEvent(100 + r)).ok());
+    ASSERT_TRUE(counted.Append(ForgetEvent(r)).ok());
   }
-  EXPECT_EQ(ReadEventLogFile(dir.file("events.log")).value().size(), 15u);
+  EXPECT_EQ(
+      ReadSegmentedLogContents(dir.file("counted")).value().events.size(),
+      5u);
 }
 
 // --------------------------------- checkpointer + recovery, segmented log
@@ -534,8 +560,8 @@ void JournalForget(RowId row, BackendKind backend, Table* table,
 }
 
 TEST(SegmentedRetentionTest, CrashPointMatrixRecoversBitIdentically) {
-  // The PR 4 crash-point matrix, rerun with the segmented log as the GC's
-  // truncation target. The "gc" phase is the acceptance crash point: the
+  // The checkpointer crash-point matrix with small journal segments, so
+  // the GC's truncation unlinks segments every round. The "gc" phase is the acceptance crash point: the
   // writer dies after the blob/manifest deletions but before
   // TruncateBefore — i.e. between the appenders' segment rolls and the
   // old-segment unlinks — leaving every segment on disk for recovery.
@@ -554,7 +580,6 @@ TEST(SegmentedRetentionTest, CrashPointMatrixRecoversBitIdentically) {
     opts.dir = dir.path();
     opts.async = false;
     opts.retain = 2;
-    opts.log_format = LogFormat::kSegmented;
     opts.log = &log;
     opts.test_crash_hook = [&armed, phase](const char* p) {
       return armed && std::strcmp(p, phase) == 0;
@@ -593,27 +618,6 @@ TEST(SegmentedRetentionTest, CrashPointMatrixRecoversBitIdentically) {
   }
 }
 
-TEST(SegmentedRetentionTest, MakeRejectsMismatchedLogFormat) {
-  // The declared pairing is enforced: a checkpointer configured for one
-  // format cannot be handed the other implementation by accident.
-  ScratchDir dir("amnesia_seg_format_mismatch_test");
-  SegmentedEventLog seg =
-      SegmentedEventLog::Open(dir.file("segs"), SmallSegments()).value();
-  EventLog rewrite = EventLog::Open(dir.file("events.log")).value();
-
-  CheckpointerOptions opts;
-  opts.dir = dir.path();
-  opts.log_format = LogFormat::kSingleFile;
-  opts.log = &seg;
-  EXPECT_FALSE(BackgroundCheckpointer::Make(opts).ok());
-  opts.log_format = LogFormat::kSegmented;
-  EXPECT_TRUE(BackgroundCheckpointer::Make(opts).ok());
-  opts.log = &rewrite;
-  EXPECT_FALSE(BackgroundCheckpointer::Make(opts).ok());
-  opts.log_format = LogFormat::kSingleFile;
-  EXPECT_TRUE(BackgroundCheckpointer::Make(opts).ok());
-}
-
 TEST(SegmentedRetentionTest, GcTruncatesByUnlinkingSegments) {
   ScratchDir dir("amnesia_seg_retention_gc_test");
   SegmentedEventLog log =
@@ -626,7 +630,6 @@ TEST(SegmentedRetentionTest, GcTruncatesByUnlinkingSegments) {
   opts.dir = dir.path();
   opts.async = false;
   opts.retain = 2;
-  opts.log_format = LogFormat::kSegmented;
   opts.log = &log;
   BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
 
@@ -654,38 +657,6 @@ TEST(SegmentedRetentionTest, GcTruncatesByUnlinkingSegments) {
   EXPECT_EQ(CheckpointColdStore(*state.cold), CheckpointColdStore(cold));
 }
 
-TEST(SegmentedSimTest, ReusedDirDropsOtherFormatsStaleJournal) {
-  // Format switch in a reused directory: the previous run's journal (in
-  // the OTHER format) must not survive next to the new run's manifests —
-  // a recovery through that path would replay stale events.
-  ScratchDir dir("amnesia_seg_format_switch_test");
-  SimulationConfig config;
-  config.seed = 99;
-  config.dbsize = 200;
-  config.num_batches = 3;
-  config.queries_per_batch = 5;
-  config.policy.kind = PolicyKind::kFifo;
-  config.record_access = false;
-  config.checkpoint_every_n_batches = 2;
-  config.checkpoint_dir = dir.path();
-  config.log_format = LogFormat::kSegmented;
-  {
-    auto sim = Simulator::Make(config).value();
-    ASSERT_TRUE(sim->Run().ok());
-  }
-  ASSERT_TRUE(fs::is_directory(dir.path() + "/events.segs"));
-
-  config.log_format = LogFormat::kSingleFile;
-  auto sim = Simulator::Make(config).value();
-  EXPECT_FALSE(fs::exists(dir.path() + "/events.segs"));
-  ASSERT_TRUE(sim->Run().ok());
-  // And back: the single-file journal goes away when segmented reopens.
-  config.log_format = LogFormat::kSegmented;
-  auto sim2 = Simulator::Make(config).value();
-  EXPECT_FALSE(fs::exists(dir.path() + "/events.log"));
-  ASSERT_TRUE(sim2->Run().ok());
-}
-
 TEST(SegmentedSimTest, CrashRecoveryIsBitIdentical) {
   // End-to-end with the simulator journaling through a segmented log
   // under the default group-commit sync policy.
@@ -703,7 +674,6 @@ TEST(SegmentedSimTest, CrashRecoveryIsBitIdentical) {
   config.checkpoint_dir = dir.path();
   config.checkpoint_async = true;
   config.checkpoint_retention = 2;
-  config.log_format = LogFormat::kSegmented;
   config.log_segment_bytes = 8u << 10;
 
   std::string log_path;

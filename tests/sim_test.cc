@@ -3,6 +3,9 @@
 // Tests for the simulator: config validation, invariants of the
 // query-dominant loop, determinism, the canned experiment configs.
 
+#include <filesystem>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/experiments.h"
@@ -289,6 +292,29 @@ TEST(SimulatorTest, MutableAccessorsExposeLiveComponents) {
   // insert 40 -> 239 active -> budget 200.
   const BatchMetrics m = sim->StepBatch().value();
   EXPECT_EQ(m.active, 200u);
+}
+
+TEST(SimulatorTest, MakeCreatesMissingParentDirectories) {
+  // Mapped storage and checkpoints two levels under a path that does not
+  // exist yet: Make creates every missing level.
+  namespace fs = std::filesystem;
+  const std::string base =
+      (fs::temp_directory_path() / "amnesia_sim_nested_dirs_test").string();
+  fs::remove_all(base);
+  SimulationConfig c = SmallConfig();
+  c.storage_backend = StorageBackend::kMapped;
+  c.storage_dir = base + "/data/storage";
+  c.partition_rows = 64;
+  c.checkpoint_every_n_batches = 2;
+  c.checkpoint_dir = base + "/state/ckpt";
+  {
+    auto sim = Simulator::Make(c);
+    ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+    ASSERT_TRUE((*sim)->Run().ok());
+  }
+  EXPECT_TRUE(fs::is_directory(c.storage_dir));
+  EXPECT_TRUE(fs::exists(c.checkpoint_dir + "/CURRENT"));
+  fs::remove_all(base);
 }
 
 TEST(SimulatorTest, PolicyAccessorReflectsConfiguredKind) {
